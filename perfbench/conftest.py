@@ -1,0 +1,10 @@
+"""Lets ``python3 -m pytest perfbench`` import the program from ``src`` and
+the benchmark's own modules, as ``perfbench/run.py`` does."""
+
+import sys
+from pathlib import Path
+
+HERE = Path(__file__).resolve().parent
+for path in (HERE, HERE.parent / "src"):
+    if str(path) not in sys.path:
+        sys.path.insert(0, str(path))
