@@ -15,6 +15,7 @@ from .env import (
     PolicyPair,
     Trajectory,
     embed_step,
+    kl_divergence,
     make_policy_pair,
     policy_distribution,
     remote_policy,
@@ -43,7 +44,6 @@ from .klst import (
     class_weights,
     collect,
     empirical_cdf,
-    kl_divergence,
     label_steps,
     train_klst,
 )

@@ -71,7 +71,10 @@ def _read_manifest(stage_dir: Path, stage: str, cfg: RunConfig) -> dict:
             f"missing upstream artifact: {path} (run the {stage} stage first)",
             EXIT_MISSING,
         )
-    manifest = json.loads(path.read_text(encoding="utf-8"))
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:
+        raise StageError(f"unreadable upstream artifact: {path} ({exc})", EXIT_MISSING)
     if manifest.get("config_hash") != cfg.config_hash:
         raise StageError(
             f"config hash mismatch against {path}: upstream artifacts were "
@@ -89,6 +92,13 @@ def _upstream_output(manifest: dict, name: str) -> Path:
     if not path.exists():
         raise StageError(f"missing upstream artifact: {path}", EXIT_MISSING)
     return path
+
+
+def _load_checkpoint(path: Path, cfg: RunConfig) -> RouterParams:
+    try:
+        return load_params(path, cfg.router)
+    except CheckpointError as exc:
+        raise StageError(f"{path} is not a usable router checkpoint: {exc}", EXIT_MISSING)
 
 
 def _stage_dir(cfg: RunConfig, stage: str) -> Path:
@@ -200,7 +210,11 @@ def cmd_train_klst(cfg: RunConfig) -> int:
     stage = _stage_dir(cfg, "klst")
     upstream = _read_manifest(cfg.output_dir / "collect", "collect", cfg)
     dataset_path = _upstream_output(upstream, "dataset")
-    dataset = klst.load_dataset(dataset_path)
+    try:
+        dataset = klst.load_dataset(dataset_path)
+    except (ValueError, KeyError) as exc:
+        raise StageError(f"unreadable upstream artifact: {dataset_path} ({exc})",
+                         EXIT_MISSING)
 
     params = RouterParams.initialize(cfg.router, seed=cfg.master_seed)
     result = klst.train_klst(dataset, params, cfg.klst_train)
@@ -233,11 +247,7 @@ def cmd_train_grpo(cfg: RunConfig, checkpoint: Path | None = None) -> int:
         checkpoint = Path(checkpoint)
         if not checkpoint.exists():
             raise StageError(f"missing upstream artifact: {checkpoint}", EXIT_MISSING)
-    try:
-        init_params = load_params(checkpoint, cfg.router)
-    except CheckpointError as exc:
-        raise StageError(f"{checkpoint} is not a usable router checkpoint: {exc}",
-                         EXIT_MISSING)
+    init_params = _load_checkpoint(checkpoint, cfg)
 
     pair = make_policy_pair(cfg.env)
     result = grpo.train_grpo(cfg.env, pair, init_params, cfg.grpo, cfg.reward)
@@ -274,7 +284,8 @@ def cmd_eval(cfg: RunConfig) -> int:
         if ckpt.exists():
             _read_manifest(cfg.output_dir / stage_name,
                            f"train-{stage_name}", cfg)
-            spec = BaselineSpec("router", checkpoint=ckpt, mode=cfg.eval.mode)
+            spec = BaselineSpec("router", params=_load_checkpoint(ckpt, cfg),
+                                mode=cfg.eval.mode)
             specs.append(spec)
             labels[len(specs) - 1] = f"router-{stage_name}[{cfg.eval.mode}]"
             inputs[f"{stage_name}_checkpoint"] = ckpt

@@ -26,13 +26,13 @@ import json
 import socket
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from pathlib import Path
 from typing import Callable
 
 import numpy as np
 
-from .router import RouterParams, StepSequence, route
+from .router import RouterParams, StepSequence, route, sample_categorical
 
 # RNG stream tags (first entropy word after the master seed)
 STREAM_TASK = 0
@@ -124,12 +124,32 @@ class EnvConfig:
 class TaskSpec:
     task_id: int
     goal_len: int
+    n_actions: int
     critical_steps: frozenset[int]
     advancing: tuple[frozenset[int], ...]   # indexed by step, entry 0 unused
     zones: tuple[int, ...]
     notes: tuple[int, ...]
     concentration: tuple[float, ...]        # high-policy mass on advancing set
     kl_targets: tuple[float, ...]           # low-policy divergence target
+
+    def high_distribution(self, t: int) -> np.ndarray:
+        return _concentrated(self.n_actions, self.advancing[t], self.concentration[t])
+
+    def low_distribution(self, t: int) -> np.ndarray:
+        """Step t's low-policy distribution, a copy the caller owns.
+
+        Raises EnvConfigError when step t's divergence target is unreachable.
+        """
+        table, unreachable = self._low_table
+        if t in unreachable:
+            raise EnvConfigError(unreachable[t])
+        return table[t].copy()
+
+    @cached_property
+    def _low_table(self) -> tuple[np.ndarray, dict[int, str]]:
+        # Solved on the first low query; lives and dies with this task and is
+        # not a field, so it takes no part in equality or hashing.
+        return _solve_low_table(self)
 
 
 def _build_task(config: EnvConfig, episode_seed: int) -> TaskSpec:
@@ -166,6 +186,7 @@ def _build_task(config: EnvConfig, episode_seed: int) -> TaskSpec:
     return TaskSpec(
         task_id=task_id,
         goal_len=goal,
+        n_actions=n_actions,
         critical_steps=critical,
         advancing=tuple(advancing),
         zones=tuple(zones),
@@ -290,34 +311,76 @@ def _concentrated(n_actions: int, on: frozenset[int], mass: float) -> np.ndarray
     return dist
 
 
-def _categorical_kl(p: np.ndarray, q: np.ndarray) -> float:
-    live = p > 0
+def kl_divergence(p, q) -> float:
+    """KL(p || q) for categoricals over the same support, with 0*log(0/q)=0.
+
+    Returns +inf (not an exception) when p puts mass where q has none.
+    """
+    p = np.asarray(p, dtype=np.float64).reshape(-1)
+    q = np.asarray(q, dtype=np.float64).reshape(-1)
+    if p.shape != q.shape:
+        raise ValueError(f"support sizes differ: {p.shape[0]} vs {q.shape[0]}")
+    live = p > 0.0
+    if np.any(live & (q <= 0.0)):
+        return float("inf")
     return float(np.sum(p[live] * np.log(p[live] / q[live])))
 
 
-def _solve_mixture(base: np.ndarray, direction: np.ndarray, target_kl: float) -> np.ndarray:
-    """Smallest mixture (1-a)*base + a*direction with KL(mix || base) = target.
+def _solve_low_table(task: TaskSpec) -> tuple[np.ndarray, dict[int, str]]:
+    """Every step's low-policy distribution, solved in one bisection.
 
-    KL of the mixture is convex in ``a`` with value 0 at a=0, hence
-    nondecreasing on [0, 1]; bisection is exact enough at 80 iterations.
+    Row t is the smallest mixture (1-a)*high + a*direction with
+    KL(mix || high) = kl_targets[t], where direction spreads all mass over
+    the poisoning actions at a critical step and is uniform elsewhere. KL of
+    the mixture is convex in ``a`` with value 0 at a=0, hence nondecreasing
+    on [0, 1]; bisection is exact enough at 80 iterations. The rows bisect
+    side by side, each with the arithmetic of a bisection of its own. Steps
+    whose target is unreachable are left out and map to their error message
+    instead, raised only if that step is queried. Row 0 is unused.
     """
-    if target_kl <= 0.0:
-        return base.copy()
-    reachable = _categorical_kl(direction, base)
-    if reachable < target_kl:
-        raise EnvConfigError(
-            f"divergence target {target_kl:.4g} unreachable (max {reachable:.4g}); "
-            "lower divergence_high or flatten the high policy"
-        )
-    lo, hi = 0.0, 1.0
-    for _ in range(80):
-        mid = 0.5 * (lo + hi)
-        mix = (1.0 - mid) * base + mid * direction
-        if _categorical_kl(mix, base) < target_kl:
-            lo = mid
+    n_actions = task.n_actions
+    table = np.full((len(task.kl_targets), n_actions), np.nan)
+    unreachable: dict[int, str] = {}
+    rows, bases, directions = [], [], []
+    for t in range(1, len(task.kl_targets)):
+        base = task.high_distribution(t)
+        target = task.kl_targets[t]
+        if target <= 0.0:
+            table[t] = base
+            continue
+        if t in task.critical_steps:
+            poison = frozenset(range(n_actions)) - task.advancing[t]
+            direction = _concentrated(n_actions, poison, 1.0)
         else:
-            hi = mid
-    return (1.0 - hi) * base + hi * direction
+            direction = np.full(n_actions, 1.0 / n_actions)
+        reachable = kl_divergence(direction, base)
+        if reachable < target:
+            unreachable[t] = (
+                f"divergence target {target:.4g} unreachable (max {reachable:.4g}); "
+                "lower divergence_high or flatten the high policy"
+            )
+            continue
+        rows.append(t)
+        bases.append(base)
+        directions.append(direction)
+    if not rows:
+        return table, unreachable
+
+    base, direction = np.array(bases), np.array(directions)
+    target = np.array([[task.kl_targets[t]] for t in rows])
+    lo, hi = np.zeros_like(target), np.ones_like(target)
+    # A mixture entry is 0 only once mid rounds to 1.0, which needs hi == 1.0;
+    # its 0*log(0) is NaN, fails the test and leaves hi at 1.0, the same
+    # verdict as a KL that skips zero entries.
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for _ in range(80):
+            mid = 0.5 * (lo + hi)
+            mix = (1.0 - mid) * base + mid * direction
+            below = (mix * np.log(mix / base)).sum(axis=1, keepdims=True) < target
+            lo = np.where(below, mid, lo)
+            hi = np.where(below, hi, mid)
+    table[rows] = (1.0 - hi) * base + hi * direction
+    return table, unreachable
 
 
 class SyntheticPolicy:
@@ -333,18 +396,9 @@ class SyntheticPolicy:
         self.which = which
 
     def __call__(self, state: EnvState) -> np.ndarray:
-        task = state.task
-        t = state.t
-        n_actions = state.config.action_space.size
-        high = _concentrated(n_actions, task.advancing[t], task.concentration[t])
         if self.which == "high":
-            return high
-        if t in task.critical_steps:
-            poison = frozenset(range(n_actions)) - task.advancing[t]
-            direction = _concentrated(n_actions, poison, 1.0)
-        else:
-            direction = np.full(n_actions, 1.0 / n_actions)
-        return _solve_mixture(high, direction, task.kl_targets[t])
+            return state.task.high_distribution(state.t)
+        return state.task.low_distribution(state.t)
 
 
 def make_policy_pair(config: EnvConfig) -> PolicyPair:
@@ -446,11 +500,6 @@ class RouterDriver:
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 
-def _sample(dist: np.ndarray, rng: np.random.Generator) -> int:
-    u = rng.random()
-    return int(min(np.searchsorted(np.cumsum(dist), u, side="right"), len(dist) - 1))
-
-
 def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
             master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64,
             record_embeddings: bool | None = None) -> Trajectory:
@@ -494,7 +543,6 @@ def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: i
         elif isinstance(driver, RandomDriver):
             executed = HIGH if driver_rng.random() < driver.p else LOW
         elif isinstance(driver, KlstCollect):
-            from .klst import kl_divergence  # local import: klst builds on env
             low_dist = pair.low(state)
             high_dist = pair.high(state)
             d_t = kl_divergence(low_dist, high_dist)
@@ -511,7 +559,7 @@ def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: i
             dist = pair.high(state) if executed == HIGH else pair.low(state)
         else:
             dist = high_dist
-        action = _sample(dist, policy_rng)
+        action = sample_categorical(dist, policy_rng)
         n_high += int(executed == HIGH)
 
         steps.append(TrajStep(

@@ -120,6 +120,10 @@ def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     seeds = range(episode_seed_start, episode_seed_start + n_episodes)
+    if weak_report is not None and (
+            weak_report.master_seed != master_seed
+            or [e.episode_seed for e in weak_report.episodes] != list(seeds)):
+        raise ValueError("weak baseline was evaluated on different seeds")
     driver = spec.driver(router_config)
     trajectories = run_episodes(config, pair, driver, seeds,
                                 master_seed=master_seed, workers=workers)
@@ -128,8 +132,6 @@ def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
     if spec.kind == "fixed_low":
         weak = success
     elif weak_report is not None:
-        if (weak_report.n_episodes, weak_report.master_seed) != (n_episodes, master_seed):
-            raise ValueError("weak baseline was evaluated on different seeds")
         weak = weak_report.success_rate
     else:
         weak_trajs = run_episodes(config, pair, FixedLow(), seeds,

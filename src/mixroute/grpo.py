@@ -18,7 +18,13 @@ import numpy as np
 
 from .env import EnvConfig, PolicyPair, RouterDriver, Trajectory, rollout
 from .nn import AdamConfig, PROB_FLOOR, adam_step
-from .router import RouterParams, StepSequence, forward_probs, truncate_sequence
+from .router import (
+    RouterParams,
+    StepSequence,
+    forward_probs,
+    forward_probs_batch,
+    truncate_sequence,
+)
 
 
 class TrajectoryDataError(ValueError):
@@ -129,39 +135,57 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
     """Evaluate -E[A * sum_t log pi(r_t|s_t)] + beta * KL(pi || pi_0) and leave
     its gradient in the parameter tensors.
 
-    The KL term is estimated over the states visited in this batch. Each
-    decision state gets a single forward/backward pass carrying both the
-    policy-gradient and the KL-penalty contributions.
+    The KL term is estimated over the states visited in this batch. The
+    states that share a sequence length go through the router as one stack,
+    one forward/backward pass carrying both the policy-gradient and the
+    KL-penalty contributions; each stack's backward runs before the next
+    stack's forward, and the loss terms are summed state by state in
+    trajectory order.
     """
-    items = []  # (advantage, [(seq, choice), ...])
+    items = []  # (advantage, length scale, [(seq, choice), ...])
     for group in groups:
         for traj, adv in zip(group.trajectories, group.advantages):
-            items.append((float(adv), _decision_sequences(traj, params.config.max_len)))
+            decisions = _decision_sequences(traj, params.config.max_len)
+            scale = 1.0 / len(decisions) if config.normalize_by_steps else 1.0
+            items.append((float(adv), scale, decisions))
     if not items:
         raise ValueError("no trajectories to update on")
     n_traj = len(items)
-    n_states = sum(len(decisions) for _, decisions in items)
+    states = [(seq, choice, adv, scale)
+              for adv, scale, decisions in items for seq, choice in decisions]
+    n_states = len(states)
 
     params.zero_grads()
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, (seq, _, _, _) in enumerate(states):
+        stacks.setdefault((seq.length, seq.n_valid), []).append(i)
+    log_pick = [0.0] * n_states  # log pi(r_t | s_t), floored
+    kl_terms = [0.0] * n_states  # KL(pi || pi_0) at s_t
+    for rows in stacks.values():
+        batch = [states[i][0] for i in rows]
+        probs, backward = forward_probs_batch(batch, params)
+        anchor_probs = forward_probs_batch(batch, anchor.params)[0]
+        pf = np.maximum(probs, PROB_FLOOR)
+        log_ratio = np.log(pf / np.maximum(anchor_probs, PROB_FLOOR))
+        dprobs = np.zeros_like(probs)
+        for r, i in enumerate(rows):
+            _, choice, adv, scale = states[i]
+            log_pick[i] = math.log(pf[r, choice])
+            kl_terms[i] = float(np.sum(probs[r] * log_ratio[r]))
+            if probs[r, choice] > PROB_FLOOR:
+                dprobs[r, choice] = -adv * scale / (n_traj * probs[r, choice])
+        dprobs += config.beta * (log_ratio + 1.0) / n_states
+        backward(dprobs)
+
     policy_term = 0.0
     kl_value = 0.0
-    for adv, decisions in items:
+    i = 0
+    for adv, scale, decisions in items:
         log_prob_sum = 0.0
-        scale = 1.0 / len(decisions) if config.normalize_by_steps else 1.0
-        for seq, choice in decisions:
-            probs, backward = forward_probs(seq, params)
-            anchor_probs, _ = forward_probs(seq, anchor.params)
-            pf = np.maximum(probs, PROB_FLOOR)
-            qf = np.maximum(anchor_probs, PROB_FLOOR)
-
-            log_prob_sum += math.log(pf[choice])
-            dprobs = np.zeros_like(probs)
-            if probs[choice] > PROB_FLOOR:
-                dprobs[choice] = -adv * scale / (n_traj * probs[choice])
-
-            kl_value += float(np.sum(probs * np.log(pf / qf))) / n_states
-            dprobs += config.beta * (np.log(pf / qf) + 1.0) / n_states
-            backward(dprobs)
+        for _ in decisions:
+            log_prob_sum += log_pick[i]
+            kl_value += kl_terms[i] / n_states
+            i += 1
         policy_term += -adv * scale * log_prob_sum / n_traj
 
     return GrpoLoss(policy_term, kl_value, policy_term + config.beta * kl_value)

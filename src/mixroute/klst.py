@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .env import EnvConfig, KlstCollect, PolicyPair, run_episodes
+from .env import kl_divergence  # noqa: F401  re-exported as part of the klst API
 from .nn import AdamConfig, adam_step, weighted_cross_entropy
 from .router import RouterParams, StepSequence, forward_probs
 
@@ -23,21 +24,6 @@ DATASET_SCHEMA_VERSION = 1
 
 class EmptyCollectionError(RuntimeError):
     """No successful episodes were collected."""
-
-
-def kl_divergence(p, q) -> float:
-    """KL(p || q) for categoricals over the same support, with 0*log(0/q)=0.
-
-    Returns +inf (not an exception) when p puts mass where q has none.
-    """
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if p.shape != q.shape:
-        raise ValueError(f"support sizes differ: {p.shape[0]} vs {q.shape[0]}")
-    live = p > 0.0
-    if np.any(live & (q <= 0.0)):
-        return float("inf")
-    return float(np.sum(p[live] * np.log(p[live] / q[live])))
 
 
 @dataclass

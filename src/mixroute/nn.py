@@ -6,8 +6,12 @@ into any ParamTensor arguments, and returns the gradient w.r.t. the
 non-parameter inputs. There is no tape: callers compose the closures in
 reverse order themselves.
 
-All matrices are 2-D, row-major, float64. Shapes here are tiny (d <= 128,
-t <= 64), so clarity wins over cleverness.
+Parameters are 2-D, row-major, float64. Activations are 2-D matrices or
+stacks of them: every op works on the last two axes and treats leading
+axes as a batch, slice by slice exactly as it treats one matrix, so a
+stack's rows equal bitwise the rows of the same matrices run one by one.
+Parameter gradients sum over the whole stack. Shapes here are tiny
+(d <= 128, t <= 64), so clarity wins over cleverness.
 
 ParamTensors are single-writer: forward/backward/adam_step on one set of
 parameters must not run concurrently. Immutable value snapshots may be
@@ -102,9 +106,9 @@ class AdamConfig:
 
 def linear_forward(x: Matrix, weight: ParamTensor, bias: ParamTensor):
     """out = x @ W + b with b broadcast over rows."""
-    if x.shape[1] != weight.value.shape[0]:
+    if x.shape[-1] != weight.value.shape[0]:
         raise ShapeMismatchError(
-            f"input cols {x.shape[1]} != weight rows {weight.value.shape[0]}"
+            f"input cols {x.shape[-1]} != weight rows {weight.value.shape[0]}"
         )
     if bias.value.shape != (1, weight.value.shape[1]):
         raise ShapeMismatchError(
@@ -113,8 +117,10 @@ def linear_forward(x: Matrix, weight: ParamTensor, bias: ParamTensor):
     out = x @ weight.value + bias.value
 
     def backward(grad_out: Matrix) -> Matrix:
-        weight.grad += x.T @ grad_out
-        bias.grad += grad_out.sum(axis=0, keepdims=True)
+        rows_in = x.reshape(-1, x.shape[-1])
+        rows_out = grad_out.reshape(-1, grad_out.shape[-1])
+        weight.grad += rows_in.T @ rows_out
+        bias.grad += rows_out.sum(axis=0, keepdims=True)
         return grad_out @ weight.value.T
 
     return out, backward
@@ -132,12 +138,12 @@ def relu(x: Matrix):
 
 def softmax_rows(logits: Matrix):
     """Row-wise softmax with max-shift for stability."""
-    shifted = logits - logits.max(axis=1, keepdims=True)
+    shifted = logits - logits.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)
-    probs = exp / exp.sum(axis=1, keepdims=True)
+    probs = exp / exp.sum(axis=-1, keepdims=True)
 
     def backward(grad_probs: Matrix) -> Matrix:
-        inner = (grad_probs * probs).sum(axis=1, keepdims=True)
+        inner = (grad_probs * probs).sum(axis=-1, keepdims=True)
         return probs * (grad_probs - inner)
 
     return probs, backward
@@ -145,23 +151,25 @@ def softmax_rows(logits: Matrix):
 
 def layer_norm(x: Matrix, gain: ParamTensor, shift: ParamTensor, eps: float = 1e-5):
     """Per-row normalization to mean 0 / variance 1, then affine."""
-    if gain.value.shape != (1, x.shape[1]) or shift.value.shape != (1, x.shape[1]):
+    d = x.shape[-1]
+    if gain.value.shape != (1, d) or shift.value.shape != (1, d):
         raise ShapeMismatchError("gain/shift width must equal x.cols")
     if eps <= 0:
         raise ValueError("eps must be > 0")
-    mean = x.mean(axis=1, keepdims=True)
+    # sum / d is what ndarray.mean computes, bitwise, without its overhead.
+    mean = x.sum(axis=-1, keepdims=True) / d
     centered = x - mean
-    var = (centered * centered).mean(axis=1, keepdims=True)
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + eps)
     normed = centered * inv_std
     out = normed * gain.value + shift.value
 
     def backward(grad_out: Matrix) -> Matrix:
-        gain.grad += (grad_out * normed).sum(axis=0, keepdims=True)
-        shift.grad += grad_out.sum(axis=0, keepdims=True)
+        gain.grad += (grad_out * normed).reshape(-1, d).sum(axis=0, keepdims=True)
+        shift.grad += grad_out.reshape(-1, d).sum(axis=0, keepdims=True)
         g = grad_out * gain.value
-        g_mean = g.mean(axis=1, keepdims=True)
-        gn_mean = (g * normed).mean(axis=1, keepdims=True)
+        g_mean = g.sum(axis=-1, keepdims=True) / d
+        gn_mean = (g * normed).sum(axis=-1, keepdims=True) / d
         return inv_std * (g - g_mean - normed * gn_mean)
 
     return out, backward
@@ -175,28 +183,29 @@ def masked_attention(queries: Matrix, keys: Matrix, values: Matrix, key_valid):
     before the exp, so their weights are exactly 0.0.
     """
     valid = np.asarray(key_valid, dtype=bool).reshape(-1)
-    if keys.shape != values.shape or queries.shape[1] != keys.shape[1]:
+    if keys.shape != values.shape or queries.shape[-1] != keys.shape[-1]:
         raise ShapeMismatchError("q/k/v head widths must agree")
-    if valid.shape[0] != keys.shape[0]:
+    if valid.shape[0] != keys.shape[-2]:
         raise ShapeMismatchError("mask length must equal number of keys")
     if not valid.any():
         raise EmptyContextError("attention over an all-invalid mask")
 
-    scale = 1.0 / math.sqrt(queries.shape[1])
-    scores = (queries @ keys.T) * scale
-    scores = np.where(valid[None, :], scores, -np.inf)
-    shifted = scores - scores.max(axis=1, keepdims=True)
+    scale = 1.0 / math.sqrt(queries.shape[-1])
+    scores = (queries @ np.swapaxes(keys, -1, -2)) * scale
+    if not valid.all():
+        scores = np.where(valid, scores, -np.inf)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
     exp = np.exp(shifted)  # exp(-inf) == 0.0 exactly
-    weights = exp / exp.sum(axis=1, keepdims=True)
+    weights = exp / exp.sum(axis=-1, keepdims=True)
     out = weights @ values
 
     def backward(grad_out: Matrix):
-        grad_values = weights.T @ grad_out
-        grad_weights = grad_out @ values.T
-        inner = (grad_weights * weights).sum(axis=1, keepdims=True)
+        grad_values = np.swapaxes(weights, -1, -2) @ grad_out
+        grad_weights = grad_out @ np.swapaxes(values, -1, -2)
+        inner = (grad_weights * weights).sum(axis=-1, keepdims=True)
         grad_scores = weights * (grad_weights - inner) * scale
         grad_queries = grad_scores @ keys
-        grad_keys = grad_scores.T @ queries
+        grad_keys = np.swapaxes(grad_scores, -1, -2) @ queries
         return grad_queries, grad_keys, grad_values
 
     return out, backward

@@ -217,40 +217,58 @@ def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
     return StepSequence(kept, np.ones(kept.shape[0], dtype=np.uint8))
 
 
-def add_positions(seq: StepSequence, params: RouterParams):
-    """Row i of the output is z_i + P[i]; padded rows pass through unchanged."""
-    seq = truncate_sequence(seq, params.config.max_len)
-    t, d = seq.embeddings.shape
-    if d != params.config.embed_dim:
-        raise ShapeMismatchError(
-            f"sequence dim {d} != router embed_dim {params.config.embed_dim}"
-        )
-    n = seq.n_valid
-    out = seq.embeddings.copy()
-    out[:n] += params.positional.value[:n]
+def _add_positions(x, n: int, params: RouterParams):
+    """Add P[i] to row i < n of every matrix in ``x`` (one matrix or a stack)."""
+    out = x.copy()
+    out[..., :n, :] += params.positional.value[:n]
 
-    def backward(grad_out: Matrix) -> Matrix:
-        params.positional.grad[:n] += grad_out[:n]
+    def backward(grad_out):
+        valid_rows = grad_out[..., :n, :]
+        params.positional.grad[:n] += valid_rows.reshape(-1, n, out.shape[-1]).sum(axis=0)
         return grad_out
 
     return out, backward
 
 
-def _layer_forward(x: Matrix, valid: np.ndarray, lp: EncoderLayerParams, num_heads: int):
-    d = x.shape[1]
-    d_head = d // num_heads
+def add_positions(seq: StepSequence, params: RouterParams):
+    """Row i of the output is z_i + P[i]; padded rows pass through unchanged."""
+    seq = truncate_sequence(seq, params.config.max_len)
+    _check_dim(seq, params)
+    return _add_positions(seq.embeddings, seq.n_valid, params)
+
+
+def _check_dim(seq: StepSequence, params: RouterParams) -> None:
+    d = seq.embeddings.shape[1]
+    if d != params.config.embed_dim:
+        raise ShapeMismatchError(
+            f"sequence dim {d} != router embed_dim {params.config.embed_dim}"
+        )
+
+
+def _split_heads(m, num_heads: int):
+    """(B, t, d) -> (B, heads, t, d / heads) view."""
+    b, t, d = m.shape
+    return m.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(m):
+    """(B, heads, t, d_head) -> (B, t, heads * d_head)."""
+    b, h, t, dh = m.shape
+    return m.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
+def _layer_forward(x, valid: np.ndarray, lp: EncoderLayerParams, num_heads: int):
+    """One encoder layer over a (B, t, d) stack sharing the key mask ``valid``.
+
+    All heads attend in one call; each head reads and writes the same
+    strided columns a per-head slice would.
+    """
     q, bw_q = linear_forward(x, lp.wq, lp.bq)
     k, bw_k = linear_forward(x, lp.wk, lp.bk)
     v, bw_v = linear_forward(x, lp.wv, lp.bv)
-
-    head_outs, head_bws = [], []
-    for h in range(num_heads):
-        sl = slice(h * d_head, (h + 1) * d_head)
-        out_h, bw_h = masked_attention(q[:, sl], k[:, sl], v[:, sl], valid)
-        head_outs.append(out_h)
-        head_bws.append(bw_h)
-    concat = np.concatenate(head_outs, axis=1)
-    attn, bw_o = linear_forward(concat, lp.wo, lp.bo)
+    heads, bw_heads = masked_attention(_split_heads(q, num_heads), _split_heads(k, num_heads),
+                                       _split_heads(v, num_heads), valid)
+    attn, bw_o = linear_forward(_merge_heads(heads), lp.wo, lp.bo)
 
     resid1 = x + attn
     normed1, bw_ln1 = layer_norm(resid1, lp.ln1_gain, lp.ln1_shift)
@@ -260,23 +278,31 @@ def _layer_forward(x: Matrix, valid: np.ndarray, lp: EncoderLayerParams, num_hea
     resid2 = normed1 + ffn
     out, bw_ln2 = layer_norm(resid2, lp.ln2_gain, lp.ln2_shift)
 
-    def backward(grad: Matrix) -> Matrix:
+    def backward(grad):
         g = bw_ln2(grad)
         g_normed1 = g + bw_f1(bw_act(bw_f2(g)))
         g_resid1 = bw_ln1(g_normed1)
         g_concat = bw_o(g_resid1)
-        gq = np.zeros_like(q)
-        gk = np.zeros_like(k)
-        gv = np.zeros_like(v)
-        for h in range(num_heads):
-            sl = slice(h * d_head, (h + 1) * d_head)
-            gq_h, gk_h, gv_h = head_bws[h](g_concat[:, sl])
-            gq[:, sl] = gq_h
-            gk[:, sl] = gk_h
-            gv[:, sl] = gv_h
-        return g_resid1 + bw_q(gq) + bw_k(gk) + bw_v(gv)
+        gq, gk, gv = bw_heads(_split_heads(g_concat, num_heads))
+        return (g_resid1 + bw_q(_merge_heads(gq)) + bw_k(_merge_heads(gk))
+                + bw_v(_merge_heads(gv)))
 
     return out, backward
+
+
+def _encode_stack(x, valid: np.ndarray, params: RouterParams):
+    """N encoder layers over a (B, t, d) stack of position-augmented inputs."""
+    stack = []
+    for lp in params.layers:
+        x, bw = _layer_forward(x, valid, lp, params.config.num_heads)
+        stack.append(bw)
+
+    def backward(grad):
+        for bw in reversed(stack):
+            grad = bw(grad)
+        return grad
+
+    return x, backward
 
 
 def encode(seq: StepSequence, params: RouterParams):
@@ -288,18 +314,12 @@ def encode(seq: StepSequence, params: RouterParams):
     """
     seq = truncate_sequence(seq, params.config.max_len)
     x, bw_pos = add_positions(seq, params)
-    valid = seq.mask.astype(bool)
-    stack = []
-    for lp in params.layers:
-        x, bw = _layer_forward(x, valid, lp, params.config.num_heads)
-        stack.append(bw)
+    hidden, bw_layers = _encode_stack(x[None], seq.mask.astype(bool), params)
 
     def backward(grad: Matrix) -> Matrix:
-        for bw in reversed(stack):
-            grad = bw(grad)
-        return bw_pos(grad)
+        return bw_pos(bw_layers(grad[None])[0])
 
-    return x, backward
+    return hidden[0], backward
 
 
 def pool_last_valid(hidden: Matrix, mask) -> np.ndarray:
@@ -311,26 +331,45 @@ def pool_last_valid(hidden: Matrix, mask) -> np.ndarray:
     return hidden[n - 1]
 
 
+def forward_probs_batch(seqs, params: RouterParams):
+    """Router forward over sequences of one length and one mask, as a stack.
+
+    Returns probs of shape (B, K), row b bitwise equal to
+    ``forward_probs(seqs[b], params)``, and ``backward(dprobs)`` taking a
+    (B, K) gradient and accumulating the gradient of the whole stack into
+    every parameter tensor.
+    """
+    seqs = [truncate_sequence(s, params.config.max_len) for s in seqs]
+    if not seqs:
+        raise ValueError("forward_probs_batch needs at least one sequence")
+    mask = seqs[0].mask
+    for s in seqs:
+        _check_dim(s, params)
+        if not np.array_equal(s.mask, mask):
+            raise ShapeMismatchError("a batch needs one sequence length and one mask")
+    n = seqs[0].n_valid
+    x, bw_pos = _add_positions(np.stack([s.embeddings for s in seqs]), n, params)
+    hidden, bw_enc = _encode_stack(x, mask.astype(bool), params)
+    pooled = hidden[:, n - 1:n, :]  # (B, 1, d): the head runs per sequence
+    logits, bw_head = linear_forward(pooled, params.head_weight, params.head_bias)
+    probs, bw_soft = softmax_rows(logits)
+
+    def backward(dprobs) -> None:
+        dp = np.asarray(dprobs, dtype=np.float64).reshape(probs.shape)
+        d_hidden = np.zeros_like(hidden)
+        d_hidden[:, n - 1:n, :] = bw_head(bw_soft(dp))
+        bw_pos(bw_enc(d_hidden))
+
+    return probs[:, 0, :], backward
+
+
 def forward_probs(seq: StepSequence, params: RouterParams):
     """Full router forward: probs over precisions plus a backward closure.
 
     ``backward(dprobs)`` accepts the gradient w.r.t. the K probabilities and
     accumulates gradients into every parameter tensor.
     """
-    seq = truncate_sequence(seq, params.config.max_len)
-    hidden, bw_enc = encode(seq, params)
-    n = seq.n_valid
-    pooled = hidden[n - 1:n, :]
-    logits, bw_head = linear_forward(pooled, params.head_weight, params.head_bias)
-    probs, bw_soft = softmax_rows(logits)
-
-    def backward(dprobs) -> None:
-        dp = np.asarray(dprobs, dtype=np.float64).reshape(1, -1)
-        d_pooled = bw_head(bw_soft(dp))
-        d_hidden = np.zeros_like(hidden)
-        d_hidden[n - 1] = d_pooled[0]
-        bw_enc(d_hidden)
-
+    probs, backward = forward_probs_batch([seq], params)
     return probs[0], backward
 
 

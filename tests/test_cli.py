@@ -152,6 +152,25 @@ def test_train_klst_without_collect_is_missing_artifact(tmp_path):
     assert main(["--config", str(cfg), "train-klst"]) == EXIT_MISSING
 
 
+@pytest.mark.parametrize("artifact, stage", [
+    ("collect/manifest.json", "train-klst"),
+    ("collect/dataset.jsonl", "train-klst"),
+    ("klst/router.ckpt", "eval"),
+])
+def test_truncated_upstream_artifact_is_unreadable(tmp_path, capsys, artifact, stage):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "collect"]) == EXIT_OK
+    if artifact.startswith("klst/"):
+        assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
+    path = out / artifact
+    data = path.read_bytes()
+    path.write_bytes(data[:len(data) // 2])
+    capsys.readouterr()
+    assert main(["--config", str(cfg), stage]) == EXIT_MISSING
+    assert str(path) in capsys.readouterr().err
+
+
 def test_train_grpo_rejects_non_checkpoint(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)

@@ -1,10 +1,12 @@
 """CriticalStepWorld semantics, policy-pair construction, embeddings,
 rollout drivers and the remote-policy wire protocol."""
 
+import dataclasses
 import json
 import socket
 import socketserver
 import threading
+import warnings
 
 import numpy as np
 import pytest
@@ -22,6 +24,7 @@ from mixroute.env import (
     RemoteTimeoutError,
     UnnormalizedDistributionError,
     embed_step,
+    kl_divergence,
     make_policy_pair,
     policy_distribution,
     remote_policy,
@@ -32,7 +35,6 @@ from mixroute.env import (
     load_trajectories,
     step,
 )
-from mixroute.klst import kl_divergence
 
 
 @pytest.fixture(scope="module")
@@ -178,15 +180,153 @@ def test_high_policy_mass_on_correct_continuations(world, pair):
             state, _, _, _ = step(state, oracle_action(state))
 
 
+# --- the low policy's per-task table against a scalar bisection ----------------
+
+def solve_mixture(base, direction, target_kl):
+    """Reference solver: one scalar 80-step bisection for one step."""
+    if target_kl <= 0.0:
+        return base.copy()
+    reachable = kl_divergence(direction, base)
+    if reachable < target_kl:
+        raise EnvConfigError(
+            f"divergence target {target_kl:.4g} unreachable (max {reachable:.4g}); "
+            "lower divergence_high or flatten the high policy"
+        )
+    lo, hi = 0.0, 1.0
+    for _ in range(80):
+        mid = 0.5 * (lo + hi)
+        mix = (1.0 - mid) * base + mid * direction
+        if kl_divergence(mix, base) < target_kl:
+            lo = mid
+        else:
+            hi = mid
+    return (1.0 - hi) * base + hi * direction
+
+
+def oracle_low(task, t):
+    n = task.n_actions
+    if t in task.critical_steps:
+        poison = sorted(set(range(n)) - task.advancing[t])
+        direction = np.zeros(n)
+        direction[poison] = 1.0 / len(poison)
+    else:
+        direction = np.full(n, 1.0 / n)
+    return solve_mixture(task.high_distribution(t), direction, task.kl_targets[t])
+
+
+def outcome(fn, *args):
+    """The array a call returns, or the message of the EnvConfigError it raises."""
+    try:
+        return fn(*args)
+    except EnvConfigError as exc:
+        return str(exc)
+
+
+ORACLE_WORLDS = {
+    "default": EnvConfig(),
+    "A2": EnvConfig(action_space=ActionSpace(2)),
+    "A2-flat-low": EnvConfig(action_space=ActionSpace(2), divergence_low=0.0),
+    "A9-h20": EnvConfig(action_space=ActionSpace(9), horizon=20, n_critical=4),
+    "A17-h3": EnvConfig(action_space=ActionSpace(17), horizon=3, n_correct_paths=3),
+    "A6-h1": EnvConfig(horizon=1),
+    "explicit-critical": EnvConfig(critical_steps=frozenset({1, 5, 12}), seed=3),
+    "flat-low": EnvConfig(divergence_low=0.0, divergence_high=0.4, horizon=8),
+    "partly-unreachable": EnvConfig(divergence_high=4.0, horizon=16, n_critical=5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WORLDS))
+def test_low_table_matches_scalar_bisection(name):
+    cfg = ORACLE_WORLDS[name]
+    low = make_policy_pair(cfg).low
+    compared = 0
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(25):
+            task = reset(cfg, seed).task
+            # every row, including the two past the horizon no episode reaches
+            for t in range(1, cfg.horizon + 3):
+                expected = outcome(oracle_low, task, t)
+                got = outcome(task.low_distribution, t)
+                if isinstance(expected, str):
+                    assert got == expected
+                else:
+                    np.testing.assert_array_equal(got, expected)
+                    compared += 1
+            state = reset(cfg, seed)
+            while not state.terminal:
+                np.testing.assert_array_equal(outcome(low, state),
+                                              outcome(oracle_low, state.task, state.t))
+                state, _, _, _ = step(state, oracle_action(state))
+    assert compared > 0
+
+
 def test_unreachable_divergence_target_rejected():
     cfg = EnvConfig(divergence_low=0.01, divergence_high=50.0)
-    pair = make_policy_pair(cfg)
-    state = reset(cfg, 0)
-    crit = min(state.task.critical_steps)
-    while state.t < crit:
-        state, _, _, _ = step(state, oracle_action(state))
-    with pytest.raises(EnvConfigError):
-        pair.low(state)
+    low = make_policy_pair(cfg).low
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(10):
+            state = reset(cfg, seed)
+            crit = min(state.task.critical_steps)
+            while state.t < crit:
+                low(state)  # the table is built here without raising
+                state, _, _, _ = step(state, oracle_action(state))
+            with pytest.raises(EnvConfigError) as err:
+                low(state)
+            assert str(err.value) == outcome(oracle_low, state.task, crit)
+
+
+def test_unreachable_target_never_raises_when_not_queried():
+    # The only critical step is the last one, which oracle play never reaches.
+    cfg = EnvConfig(critical_steps=frozenset({12}), divergence_low=0.0,
+                    divergence_high=50.0)
+    low = make_policy_pair(cfg).low
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        state = reset(cfg, 0)
+        while not state.terminal:
+            low(state)
+            state, _, _, _ = step(state, oracle_action(state))
+        assert state.success and state.t <= 12
+        with pytest.raises(EnvConfigError, match="unreachable"):
+            state.task.low_distribution(12)
+
+
+def test_target_at_the_reachable_maximum_solves_to_the_direction(world):
+    # The bisection's midpoint rounds to 1.0, where the mixture has zero
+    # entries: the table must neither warn nor part from the scalar solver.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for seed in range(10):
+            task = reset(world, seed).task
+            crit = min(task.critical_steps)
+            poison = sorted(set(range(task.n_actions)) - task.advancing[crit])
+            direction = np.zeros(task.n_actions)
+            direction[poison] = 1.0 / len(poison)
+            targets = list(task.kl_targets)
+            targets[crit] = kl_divergence(direction, task.high_distribution(crit))
+            edge = dataclasses.replace(task, kl_targets=tuple(targets))
+            got = edge.low_distribution(crit)
+            np.testing.assert_array_equal(got, oracle_low(edge, crit))
+            np.testing.assert_array_equal(got, direction)
+
+
+def test_low_distribution_is_owned_by_the_caller(world, pair):
+    state = reset(world, 3)
+    first = pair.low(state)
+    kept = first.copy()
+    first[:] = 0.0
+    np.testing.assert_array_equal(pair.low(state), kept)
+
+
+def test_low_table_is_lazy_and_outside_task_equality(world, pair):
+    a, b = reset(world, 5), reset(world, 5)
+    pair.high(a)
+    assert "_low_table" not in vars(a.task)  # high queries never solve it
+    pair.low(a)
+    assert "_low_table" in vars(a.task) and "_low_table" not in vars(b.task)
+    assert a == b and hash(a.task) == hash(b.task)
 
 
 def test_embed_step_deterministic():

@@ -129,6 +129,20 @@ def test_sweep_reuses_weak_baseline(world, pair):
     assert reports[1].weak_success_rate == weak.success_rate
 
 
+def test_weak_report_from_other_seeds_rejected(world, pair):
+    weak = evaluate(world, pair, BaselineSpec("fixed_low"), 50, episode_seed_start=5000)
+    with pytest.raises(ValueError, match="different seeds"):
+        evaluate(world, pair, BaselineSpec("random", p=0.4), 50, weak_report=weak)
+
+
+def test_sweep_reports_match_unpaired_evaluations(world, pair):
+    specs = [BaselineSpec("fixed_high"), BaselineSpec("random", p=0.4)]
+    reports = sweep(world, pair, specs, 30, master_seed=4, episode_seed_start=5000)
+    for spec, report in zip(specs, reports):
+        alone = evaluate(world, pair, spec, 30, master_seed=4, episode_seed_start=5000)
+        assert report == alone
+
+
 def test_frontier_export_slope_matches_ghc(tmp_path, world, pair):
     reports = sweep(world, pair,
                     [BaselineSpec("random", p=0.4), BaselineSpec("fixed_high")],

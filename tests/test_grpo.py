@@ -153,6 +153,47 @@ def test_grpo_loss_matches_scalar_oracle():
     assert loss.kl_penalty == 0.0
 
 
+def test_grpo_stacked_states_match_per_state_passes():
+    """Stacking states by length changes no loss bit and the gradient only by
+    summation order, against one forward/backward per decision state."""
+    from mixroute.nn import PROB_FLOOR
+    from mixroute.router import forward_probs, truncate_sequence
+
+    params = RouterParams.initialize(TINY, seed=6)
+    anchor = AnchorSnapshot(RouterParams.initialize(TINY, seed=7))
+    groups = _fixture(seed=8, n_groups=3, traj_per_group=4, max_steps=6)
+    cfg = GRPOConfig(beta=0.05, learning_rate=1e-6, normalize_by_steps=True)
+    loss = grpo_loss_and_grads(groups, params, anchor, cfg)
+    stacked = [t.grad.copy() for _, t in params.tensors()]
+
+    params.zero_grads()
+    trajs = [(traj, float(adv)) for g in groups
+             for traj, adv in zip(g.trajectories, g.advantages)]
+    n_states = sum(traj.n_steps for traj, _ in trajs)
+    policy = kl = 0.0
+    for traj, adv in trajs:
+        emb = np.asarray([s.embedding for s in traj.steps])
+        scale = 1.0 / traj.n_steps
+        lp = 0.0
+        for i, s in enumerate(traj.steps):
+            seq = truncate_sequence(StepSequence.of(emb[:i + 1]), TINY.max_len)
+            probs, backward = forward_probs(seq, params)
+            pf = np.maximum(probs, PROB_FLOOR)
+            qf = np.maximum(forward_probs(seq, anchor.params)[0], PROB_FLOOR)
+            lp += math.log(pf[s.route_choice])
+            dprobs = np.zeros_like(probs)
+            dprobs[s.route_choice] = -adv * scale / (len(trajs) * probs[s.route_choice])
+            kl += float(np.sum(probs * np.log(pf / qf))) / n_states
+            dprobs += cfg.beta * (np.log(pf / qf) + 1.0) / n_states
+            backward(dprobs)
+        policy += -adv * scale * lp / len(trajs)
+
+    assert (loss.policy_term, loss.kl_penalty) == (policy, kl)
+    assert type(loss.policy_term) is float and type(loss.kl_penalty) is float
+    for (name, t), expected in zip(params.tensors(), stacked):
+        np.testing.assert_allclose(expected, t.grad, rtol=1e-10, atol=1e-15, err_msg=name)
+
+
 def test_grpo_full_loss_gradient_matches_finite_differences():
     """Frozen mini-fixture: 2 groups x 2 trajectories x <= 3 steps."""
     params = RouterParams.initialize(TINY, seed=4)

@@ -319,3 +319,38 @@ def test_ops_are_deterministic():
     pa, _ = softmax_rows(x)
     pb, _ = softmax_rows(x)
     assert (pa == pb).all()
+
+
+def test_stacked_ops_match_matrices_one_by_one():
+    """A (B, t, d) stack gives each matrix's own output bitwise and the sum
+    of the per-matrix parameter gradients."""
+    rng = np.random.default_rng(7)
+    stack = rng.normal(size=(3, 4, 6))
+    upstream = rng.normal(size=(3, 4, 6))
+    mask = np.array([1, 1, 1, 0])
+    w = ParamTensor.from_value(rng.normal(size=(6, 6)))
+    b = ParamTensor.from_value(rng.normal(size=(1, 6)))
+    gain = ParamTensor.from_value(rng.normal(size=(1, 6)))
+    shift = ParamTensor.from_value(rng.normal(size=(1, 6)))
+    params = (w, b, gain, shift)
+
+    def chain(x, g):
+        lin, bw_lin = linear_forward(x, w, b)
+        act, bw_act = relu(lin)
+        ln, bw_ln = layer_norm(act, gain, shift)
+        att, bw_att = masked_attention(ln, ln, ln, mask)
+        out, bw_soft = softmax_rows(att)
+        gq, gk, gv = bw_att(bw_soft(g))
+        return out, bw_lin(bw_act(bw_ln(gq + gk + gv)))
+
+    for p in params:
+        p.zero_grad()
+    outs, grads = zip(*(chain(stack[i], upstream[i]) for i in range(3)))
+    one_by_one = [p.grad.copy() for p in params]
+    for p in params:
+        p.zero_grad()
+    out, grad = chain(stack, upstream)
+    np.testing.assert_array_equal(out, np.stack(outs))
+    np.testing.assert_array_equal(grad, np.stack(grads))
+    for p, expected in zip(params, one_by_one):
+        np.testing.assert_allclose(p.grad, expected, rtol=1e-12, atol=1e-14)

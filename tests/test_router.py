@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mixroute.nn import ShapeMismatchError
 from mixroute.router import (
     CheckpointConfigError,
     CorruptCheckpointError,
@@ -17,6 +18,7 @@ from mixroute.router import (
     add_positions,
     encode,
     forward_probs,
+    forward_probs_batch,
     load_params,
     pool_last_valid,
     route,
@@ -251,3 +253,39 @@ def test_forward_probs_deterministic(params):
     p1, _ = forward_probs(seq_of(x), params)
     p2, _ = forward_probs(seq_of(x), params)
     assert (p1 == p2).all()
+
+
+def test_forward_probs_batch_matches_single_sequences(params):
+    """Rows equal forward_probs bitwise; the gradient is the per-sequence sum,
+    for full and padded masks and for sequences cut to max_len."""
+    rng = np.random.default_rng(12)
+    for length, n_valid in ((1, 1), (4, 4), (5, 2), (9, 9)):
+        mask = [1] * n_valid + [0] * (length - n_valid)
+        seqs = [seq_of(rng.normal(size=(length, 8)), mask) for _ in range(3)]
+        dprobs = rng.normal(size=(3, SMALL.num_precisions))
+        params.zero_grads()
+        rows = []
+        for seq, dp in zip(seqs, dprobs):
+            probs, backward = forward_probs(seq, params)
+            backward(dp)
+            rows.append(probs)
+        one_by_one = [t.grad.copy() for _, t in params.tensors()]
+        params.zero_grads()
+        probs, backward = forward_probs_batch(seqs, params)
+        backward(dprobs)
+        np.testing.assert_array_equal(probs, np.stack(rows))
+        for (name, t), expected in zip(params.tensors(), one_by_one):
+            np.testing.assert_allclose(t.grad, expected, rtol=1e-12, atol=1e-14,
+                                       err_msg=name)
+
+
+def test_forward_probs_batch_needs_one_shape(params):
+    with pytest.raises(ShapeMismatchError):
+        forward_probs_batch([seq_of(np.ones((2, 8))), seq_of(np.ones((3, 8)))], params)
+    with pytest.raises(ShapeMismatchError):
+        forward_probs_batch([seq_of(np.ones((3, 8))), seq_of(np.ones((3, 8)), [1, 1, 0])],
+                            params)
+    with pytest.raises(ShapeMismatchError):
+        forward_probs_batch([seq_of(np.ones((3, 5)))], params)
+    with pytest.raises(ValueError):
+        forward_probs_batch([], params)
