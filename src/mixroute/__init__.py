@@ -17,7 +17,6 @@ from .env import (
     embed_step,
     kl_divergence,
     make_policy_pair,
-    policy_distribution,
     remote_policy,
     reset,
     rollout,
@@ -31,7 +30,6 @@ from .grpo import (
     TrajectoryGroup,
     group_advantages,
     grpo_update,
-    routing_kl_penalty,
     train_grpo,
     trajectory_return,
 )
@@ -53,11 +51,8 @@ from .router import (
     RouterParams,
     RoutingDistribution,
     StepSequence,
-    add_positions,
-    encode,
     forward_probs,
     load_params,
-    pool_last_valid,
     route,
     save_params,
     truncate_sequence,

@@ -292,8 +292,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     reports = sweep(cfg.env, pair, specs, cfg.eval.episodes,
                     master_seed=cfg.master_seed,
-                    episode_seed_start=cfg.eval.episode_seed_start,
-                    router_config=cfg.router, workers=cfg.workers)
+                    episode_seed_start=cfg.eval.episode_seed_start, workers=cfg.workers)
     for idx, label in labels.items():
         reports[idx].method = label
 
@@ -318,19 +317,19 @@ def cmd_export(cfg: RunConfig) -> int:
     stage = _stage_dir(cfg, "export")
     upstream = _read_manifest(cfg.output_dir / "eval", "eval", cfg)
     report_json = _upstream_output(upstream, "report_json")
-    reports = json.loads(report_json.read_text(encoding="utf-8"))
+    try:
+        reports = evaluation.load_report_json(report_json)
+    except (ValueError, KeyError, TypeError) as exc:
+        raise StageError(f"unreadable upstream artifact: {report_json} ({exc})",
+                         EXIT_MISSING)
 
     frontier_path = stage / "frontier.csv"
-    with open(frontier_path, "w", encoding="utf-8") as f:
-        f.write("method,c,S,GHC\n")
-        for r in reports:
-            g = "" if r["ghc"] is None else repr(r["ghc"])
-            f.write(f"{r['method']},{r['high_ratio']!r},{r['success_rate']!r},{g}\n")
+    evaluation.save_frontier_csv(reports, frontier_path)
     summary_path = stage / "summary.json"
     summary_path.write_text(json.dumps({
         "methods": [
-            {"method": r["method"], "S": r["success_rate"], "c": r["high_ratio"],
-             "S_weak": r["weak_success_rate"], "GHC": r["ghc"]}
+            {"method": r.method, "S": r.success_rate, "c": r.high_ratio,
+             "S_weak": r.weak_success_rate, "GHC": r.ghc}
             for r in reports
         ],
     }, indent=2, sort_keys=True) + "\n", encoding="utf-8")

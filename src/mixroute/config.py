@@ -51,7 +51,6 @@ DEFAULTS: dict = {
         "ffn_dim": 256,
         "num_precisions": 2,
         "max_len": 64,
-        "dropout": 0.0,
     },
     "klst": {
         "episodes": 200,
@@ -180,7 +179,6 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         ffn_dim=int(r["ffn_dim"]),
         num_precisions=int(r["num_precisions"]),
         max_len=int(r["max_len"]),
-        dropout=float(r["dropout"]),
     ))
     k = resolved["klst"]
     labeling = build("klst.tau", lambda: LabelingConfig(threshold=float(k["tau"])))

@@ -289,16 +289,6 @@ class PolicyPair:
     costs: tuple[float, float] = (0.0, 1.0)  # per-call cost (low, high)
 
 
-def policy_distribution(pair: PolicyPair, which: str, state: EnvState) -> np.ndarray:
-    if state.terminal:
-        raise EnvProtocolError("policy queried on a terminal state")
-    if which == "high":
-        return pair.high(state)
-    if which == "low":
-        return pair.low(state)
-    raise ValueError(f"unknown policy {which!r}")
-
-
 def _concentrated(n_actions: int, on: frozenset[int], mass: float) -> np.ndarray:
     dist = np.zeros(n_actions)
     on_idx = sorted(on)
@@ -333,8 +323,9 @@ def _solve_low_table(task: TaskSpec) -> tuple[np.ndarray, dict[int, str]]:
     KL(mix || high) = kl_targets[t], where direction spreads all mass over
     the poisoning actions at a critical step and is uniform elsewhere. KL of
     the mixture is convex in ``a`` with value 0 at a=0, hence nondecreasing
-    on [0, 1]; bisection is exact enough at 80 iterations. The rows bisect
-    side by side, each with the arithmetic of a bisection of its own. Steps
+    on [0, 1]; bisection is exact enough at 80 iterations, and stops sooner
+    once an iteration moves no bound of any row. The rows bisect side by
+    side, each with the arithmetic of a bisection of its own. Steps
     whose target is unreachable are left out and map to their error message
     instead, raised only if that step is queried. Row 0 is unused.
     """
@@ -377,8 +368,11 @@ def _solve_low_table(task: TaskSpec) -> tuple[np.ndarray, dict[int, str]]:
             mid = 0.5 * (lo + hi)
             mix = (1.0 - mid) * base + mid * direction
             below = (mix * np.log(mix / base)).sum(axis=1, keepdims=True) < target
-            lo = np.where(below, mid, lo)
-            hi = np.where(below, hi, mid)
+            new_lo = np.where(below, mid, lo)
+            new_hi = np.where(below, hi, mid)
+            if (new_lo == lo).all() and (new_hi == hi).all():
+                break  # a fixed point: every later iteration would repeat this one
+            lo, hi = new_lo, new_hi
     table[rows] = (1.0 - hi) * base + hi * direction
     return table, unreachable
 

@@ -24,7 +24,7 @@ from .env import (
     RouterDriver,
     run_episodes,
 )
-from .router import RouterConfig, RouterParams, load_params
+from .router import RouterParams
 
 
 def ghc(success_rate: float, weak_success_rate: float, high_ratio: float) -> float | None:
@@ -43,7 +43,6 @@ class BaselineSpec:
     kind: str                      # fixed_low | fixed_high | random | router
     p: float | None = None
     params: RouterParams | None = None
-    checkpoint: str | Path | None = None
     mode: str = "greedy"
 
     def __post_init__(self):
@@ -52,8 +51,8 @@ class BaselineSpec:
         if self.kind == "random":
             if self.p is None or not 0.0 <= self.p <= 1.0:
                 raise ValueError("random baselines need p in [0, 1]")
-        if self.kind == "router" and self.params is None and self.checkpoint is None:
-            raise ValueError("router baselines need params or a checkpoint path")
+        if self.kind == "router" and self.params is None:
+            raise ValueError("router baselines need params")
         if self.mode not in ("greedy", "sampled"):
             raise ValueError("mode must be greedy or sampled")
 
@@ -65,17 +64,14 @@ class BaselineSpec:
             return f"router[{self.mode}]"
         return self.kind
 
-    def driver(self, router_config: RouterConfig | None = None):
+    def driver(self):
         if self.kind == "fixed_low":
             return FixedLow()
         if self.kind == "fixed_high":
             return FixedHigh()
         if self.kind == "random":
             return RandomDriver(self.p)
-        params = self.params
-        if params is None:
-            params = load_params(self.checkpoint, router_config)
-        return RouterDriver(params, mode=self.mode)
+        return RouterDriver(self.params, mode=self.mode)
 
 
 @dataclass
@@ -113,8 +109,7 @@ def _summarize(trajectories):
 
 def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
              n_episodes: int, master_seed: int = 0, episode_seed_start: int = 0,
-             router_config: RouterConfig | None = None, workers: int = 1,
-             weak_report: EvalReport | None = None) -> EvalReport:
+             workers: int = 1, weak_report: EvalReport | None = None) -> EvalReport:
     """Evaluate one method; S_weak comes from a fixed_low run over the same
     seeds (pass ``weak_report`` to reuse a companion run)."""
     if n_episodes < 1:
@@ -124,7 +119,7 @@ def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
             weak_report.master_seed != master_seed
             or [e.episode_seed for e in weak_report.episodes] != list(seeds)):
         raise ValueError("weak baseline was evaluated on different seeds")
-    driver = spec.driver(router_config)
+    driver = spec.driver()
     trajectories = run_episodes(config, pair, driver, seeds,
                                 master_seed=master_seed, workers=workers)
     success, micro, macro, rows = _summarize(trajectories)
@@ -153,7 +148,6 @@ def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
 
 def sweep(config: EnvConfig, pair: PolicyPair, specs, n_episodes: int,
           master_seed: int = 0, episode_seed_start: int = 0,
-          router_config: RouterConfig | None = None,
           workers: int = 1) -> list[EvalReport]:
     """Evaluate several methods over one shared seed set.
 
@@ -164,15 +158,14 @@ def sweep(config: EnvConfig, pair: PolicyPair, specs, n_episodes: int,
     if not specs:
         raise ValueError("at least one spec is required")
     weak = evaluate(config, pair, BaselineSpec("fixed_low"), n_episodes,
-                    master_seed, episode_seed_start, router_config, workers)
+                    master_seed, episode_seed_start, workers)
     reports = []
     for spec in specs:
         if spec.kind == "fixed_low":
             reports.append(weak)
         else:
             reports.append(evaluate(config, pair, spec, n_episodes, master_seed,
-                                    episode_seed_start, router_config, workers,
-                                    weak_report=weak))
+                                    episode_seed_start, workers, weak_report=weak))
     return reports
 
 
@@ -213,6 +206,25 @@ def save_report_json(reports, path) -> None:
     ]
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True),
                           encoding="utf-8")
+
+
+def load_report_json(path) -> list[EvalReport]:
+    """The reports ``save_report_json`` wrote to ``path``, read back."""
+    return [
+        EvalReport(
+            method=r["method"],
+            n_episodes=r["n_episodes"],
+            success_rate=r["success_rate"],
+            high_ratio=r["high_ratio"],
+            weak_success_rate=r["weak_success_rate"],
+            ghc=r["ghc"],
+            master_seed=r["master_seed"],
+            macro_high_ratio=r["macro_high_ratio"],
+            episodes=[EpisodeRow(e["episode_seed"], e["success"], e["S"], e["T"])
+                      for e in r["episodes"]],
+        )
+        for r in json.loads(Path(path).read_text(encoding="utf-8"))
+    ]
 
 
 def save_frontier_csv(reports, path) -> None:

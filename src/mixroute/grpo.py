@@ -21,8 +21,8 @@ from .nn import AdamConfig, PROB_FLOOR, adam_step
 from .router import (
     RouterParams,
     StepSequence,
-    forward_probs,
     forward_probs_batch,
+    prefix_sequences,
     truncate_sequence,
 )
 
@@ -100,27 +100,9 @@ def _decision_sequences(traj: Trajectory, max_len: int) -> list[tuple[StepSequen
             f"episode {traj.episode_seed} has no decision-time sequences; "
             "roll out with the router driver"
         )
-    emb = np.asarray([s.embedding for s in traj.steps])
-    out = []
-    for i, s in enumerate(traj.steps):
-        seq = truncate_sequence(StepSequence.of(emb[:i + 1]), max_len)
-        out.append((seq, s.route_choice))
-    return out
-
-
-def routing_kl_penalty(params: RouterParams, anchor: AnchorSnapshot, sequences) -> float:
-    """Mean KL(pi_theta(.|s) || pi_theta0(.|s)) over the visited step-states."""
-    sequences = list(sequences)
-    if not sequences:
-        raise ValueError("nonempty visited set required")
-    total = 0.0
-    for seq in sequences:
-        p, _ = forward_probs(seq, params)
-        q, _ = forward_probs(seq, anchor.params)
-        pf = np.maximum(p, PROB_FLOOR)
-        qf = np.maximum(q, PROB_FLOOR)
-        total += float(np.sum(p * np.log(pf / qf)))
-    return total / len(sequences)
+    seqs = prefix_sequences(np.asarray([s.embedding for s in traj.steps]))
+    return [(truncate_sequence(seq, max_len), s.route_choice)
+            for seq, s in zip(seqs, traj.steps)]
 
 
 @dataclass(frozen=True)

@@ -17,9 +17,10 @@ import numpy as np
 from .env import EnvConfig, KlstCollect, PolicyPair, run_episodes
 from .env import kl_divergence  # noqa: F401  re-exported as part of the klst API
 from .nn import AdamConfig, adam_step, weighted_cross_entropy
-from .router import RouterParams, StepSequence, forward_probs
+from .router import RouterParams, StepSequence, forward_probs, prefix_sequences
 
 DATASET_SCHEMA_VERSION = 1
+VALIDATION_FRACTION = 0.1  # share of episodes held out to pick the best epoch
 
 
 class EmptyCollectionError(RuntimeError):
@@ -82,15 +83,10 @@ def trajectories_to_records(trajectories) -> list[KLRecord]:
                 f"episode {traj.episode_seed} lacks embeddings or KL values; "
                 "collect with the klst_collect driver"
             )
-        emb = np.asarray([s.embedding for s in traj.steps])
-        for i, s in enumerate(traj.steps):
-            records.append(KLRecord(
-                sequence=StepSequence.of(emb[:i + 1]),
-                d_t=float(s.d_t),
-                episode=traj.episode_seed,
-                t=s.t,
-                critical=s.critical,
-            ))
+        seqs = prefix_sequences(np.asarray([s.embedding for s in traj.steps]))
+        records += [KLRecord(sequence=seq, d_t=float(s.d_t), episode=traj.episode_seed,
+                             t=s.t, critical=s.critical)
+                    for seq, s in zip(seqs, traj.steps)]
     return records
 
 
@@ -139,12 +135,15 @@ class SupervisionDataset:
     cdf_values: np.ndarray       # sorted KL snapshot, kept for audit
 
 
+def _supervision_dataset(records, cdf: EmpiricalCdf) -> SupervisionDataset:
+    weights = class_weights([r.label for r in records])
+    return SupervisionDataset(records=records, weights=weights, cdf_values=cdf.values)
+
+
 def build_supervision_dataset(trajectories, labeling: LabelingConfig) -> SupervisionDataset:
     records = trajectories_to_records(trajectories)
     cdf = empirical_cdf([r.d_t for r in records])
-    label_steps(records, cdf, labeling)
-    weights = class_weights([r.label for r in records])
-    return SupervisionDataset(records=records, weights=weights, cdf_values=cdf.values)
+    return _supervision_dataset(label_steps(records, cdf, labeling), cdf)
 
 
 # --- dataset persistence -------------------------------------------------------
@@ -191,20 +190,11 @@ def load_dataset(path) -> SupervisionDataset:
     records = []
     for episode in sorted(by_episode):
         steps = sorted(by_episode[episode], key=lambda r: r["t"])
-        emb = np.asarray([s["embedding"] for s in steps], dtype=np.float64)
-        for i, s in enumerate(steps):
-            rec = KLRecord(
-                sequence=StepSequence.of(emb[:i + 1]),
-                d_t=float(s["D"]),
-                episode=episode,
-                t=s["t"],
-                critical=bool(s.get("crit", False)),
-                label=s["y"],
-            )
-            records.append(rec)
-    weights = class_weights([r.label for r in records])
-    cdf = empirical_cdf([r.d_t for r in records])
-    return SupervisionDataset(records=records, weights=weights, cdf_values=cdf.values)
+        seqs = prefix_sequences(np.asarray([s["embedding"] for s in steps], dtype=np.float64))
+        records += [KLRecord(sequence=seq, d_t=float(s["D"]), episode=episode, t=s["t"],
+                             critical=bool(s.get("crit", False)), label=s["y"])
+                    for seq, s in zip(seqs, steps)]
+    return _supervision_dataset(records, empirical_cdf([r.d_t for r in records]))
 
 
 # --- training ------------------------------------------------------------------
@@ -215,7 +205,6 @@ class KlstTrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     seed: int = 0
-    validation_fraction: float = 0.1
     select_by: str = "balanced_accuracy"  # or "accuracy"
 
     def __post_init__(self):
@@ -288,7 +277,7 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
     rng = np.random.default_rng(config.seed)
     episodes = sorted({r.episode for r in records})
     order = [episodes[i] for i in rng.permutation(len(episodes))]
-    n_val = max(1, round(config.validation_fraction * len(episodes)))
+    n_val = max(1, round(VALIDATION_FRACTION * len(episodes)))
     if n_val >= len(episodes):  # degenerate tiny datasets: validate on the training data
         val_episodes, train_episodes = order, order
     else:

@@ -12,7 +12,7 @@ from many workers at once; training (backward + adam_step) is single-writer.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -57,7 +57,6 @@ class RouterConfig:
     ffn_dim: int = 0  # 0 -> 4 * embed_dim
     num_precisions: int = 2
     max_len: int = 64
-    dropout: float = 0.0
 
     def __post_init__(self):
         if self.ffn_dim == 0:
@@ -75,8 +74,6 @@ class RouterConfig:
             problems.append("num_precisions must be >= 2")
         if self.max_len < 1:
             problems.append("max_len must be >= 1")
-        if not (0.0 <= self.dropout < 1.0):
-            problems.append("dropout must lie in [0, 1)")
         if problems:
             raise ValueError("invalid RouterConfig: " + "; ".join(problems))
 
@@ -134,6 +131,21 @@ class EncoderLayerParams:
     ln2_shift: ParamTensor
 
 
+def _layout(config: RouterConfig) -> list[tuple[str, tuple[int, int], int | None]]:
+    """(name, shape, fan_in) of every tensor in serialization order. A tensor
+    without a fan-in is a layer-norm gain (starts at 1) or shift (at 0)."""
+    d, f, k = config.embed_dim, config.ffn_dim, config.num_precisions
+    layer = (("wq", (d, d), d), ("bq", (1, d), d), ("wk", (d, d), d), ("bk", (1, d), d),
+             ("wv", (d, d), d), ("bv", (1, d), d), ("wo", (d, d), d), ("bo", (1, d), d),
+             ("ln1_gain", (1, d), None), ("ln1_shift", (1, d), None),
+             ("w1", (d, f), d), ("b1", (1, f), d), ("w2", (f, d), f), ("b2", (1, d), f),
+             ("ln2_gain", (1, d), None), ("ln2_shift", (1, d), None))
+    out = [("positional", (config.max_len, d), d)]
+    for i in range(config.num_layers):
+        out += [(f"layer{i}.{name}", shape, fan_in) for name, shape, fan_in in layer]
+    return out + [("head_weight", (d, k), d), ("head_bias", (1, k), d)]
+
+
 @dataclass
 class RouterParams:
     """All learnable parameters, in the order they are serialized."""
@@ -147,47 +159,30 @@ class RouterParams:
     @classmethod
     def initialize(cls, config: RouterConfig, seed: int = 0) -> "RouterParams":
         rng = np.random.default_rng(seed)
-        d, f, k = config.embed_dim, config.ffn_dim, config.num_precisions
+        tensors = []
+        for name, (rows, cols), fan_in in _layout(config):
+            if fan_in is not None:
+                tensors.append(ParamTensor.uniform(rows, cols, fan_in=fan_in, rng=rng))
+            elif name.endswith("_gain"):
+                tensors.append(ParamTensor.from_value(np.ones((rows, cols))))
+            else:
+                tensors.append(ParamTensor.zeros(rows, cols))
+        return cls._from_tensors(config, tensors)
 
-        def lin(rows, cols):
-            return ParamTensor.uniform(rows, cols, fan_in=rows, rng=rng)
-
-        def bias(cols, fan_in):
-            return ParamTensor.uniform(1, cols, fan_in=fan_in, rng=rng)
-
-        positional = ParamTensor.uniform(config.max_len, d, fan_in=d, rng=rng)
-        layers = []
-        for _ in range(config.num_layers):
-            layers.append(EncoderLayerParams(
-                wq=lin(d, d), bq=bias(d, d),
-                wk=lin(d, d), bk=bias(d, d),
-                wv=lin(d, d), bv=bias(d, d),
-                wo=lin(d, d), bo=bias(d, d),
-                ln1_gain=ParamTensor.from_value(np.ones((1, d))),
-                ln1_shift=ParamTensor.zeros(1, d),
-                w1=lin(d, f), b1=bias(f, d),
-                w2=lin(f, d), b2=bias(d, f),
-                ln2_gain=ParamTensor.from_value(np.ones((1, d))),
-                ln2_shift=ParamTensor.zeros(1, d),
-            ))
-        return cls(
-            config=config,
-            positional=positional,
-            layers=layers,
-            head_weight=lin(d, k),
-            head_bias=bias(k, d),
-        )
+    @classmethod
+    def _from_tensors(cls, config: RouterConfig, tensors: list[ParamTensor]) -> "RouterParams":
+        """Params made of ``tensors``, given in ``tensors()`` order."""
+        per_layer = len(fields(EncoderLayerParams))
+        layers = [EncoderLayerParams(*tensors[1 + i * per_layer:1 + (i + 1) * per_layer])
+                  for i in range(config.num_layers)]
+        return cls(config, tensors[0], layers, tensors[-2], tensors[-1])
 
     def tensors(self) -> list[tuple[str, ParamTensor]]:
-        out = [("positional", self.positional)]
-        for i, lp in enumerate(self.layers):
-            for name in ("wq", "bq", "wk", "bk", "wv", "bv", "wo", "bo",
-                         "ln1_gain", "ln1_shift", "w1", "b1", "w2", "b2",
-                         "ln2_gain", "ln2_shift"):
-                out.append((f"layer{i}.{name}", getattr(lp, name)))
-        out.append(("head_weight", self.head_weight))
-        out.append(("head_bias", self.head_bias))
-        return out
+        values = [self.positional]
+        for lp in self.layers:
+            values += [getattr(lp, f.name) for f in fields(lp)]
+        values += [self.head_weight, self.head_bias]
+        return [(name, t) for (name, _, _), t in zip(_layout(self.config), values)]
 
     def zero_grads(self) -> None:
         for _, t in self.tensors():
@@ -195,10 +190,7 @@ class RouterParams:
 
     def copy(self) -> "RouterParams":
         """Deep copy of values with fresh gradient/optimizer state."""
-        fresh = RouterParams.initialize(self.config, seed=0)
-        for (_, src), (_, dst) in zip(self.tensors(), fresh.tensors()):
-            dst.value[:] = src.value
-        return fresh
+        return self._from_tensors(self.config, [t.copy() for _, t in self.tensors()])
 
 
 @dataclass(frozen=True)
@@ -206,6 +198,14 @@ class RoutingDistribution:
     probs: np.ndarray  # (K,)
     chosen: int
     mode: str
+
+
+def prefix_sequences(embeddings) -> list[StepSequence]:
+    """The n step-states of an episode's (n, d) embedding matrix: sequence i
+    holds rows 0..i. Every prefix is a view of the one matrix and one mask."""
+    emb = as_matrix(embeddings)
+    ones = np.ones(emb.shape[0], dtype=np.uint8)
+    return [StepSequence(emb[:i + 1], ones[:i + 1]) for i in range(emb.shape[0])]
 
 
 def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
@@ -228,13 +228,6 @@ def _add_positions(x, n: int, params: RouterParams):
         return grad_out
 
     return out, backward
-
-
-def add_positions(seq: StepSequence, params: RouterParams):
-    """Row i of the output is z_i + P[i]; padded rows pass through unchanged."""
-    seq = truncate_sequence(seq, params.config.max_len)
-    _check_dim(seq, params)
-    return _add_positions(seq.embeddings, seq.n_valid, params)
 
 
 def _check_dim(seq: StepSequence, params: RouterParams) -> None:
@@ -291,7 +284,11 @@ def _layer_forward(x, valid: np.ndarray, lp: EncoderLayerParams, num_heads: int)
 
 
 def _encode_stack(x, valid: np.ndarray, params: RouterParams):
-    """N encoder layers over a (B, t, d) stack of position-augmented inputs."""
+    """N encoder layers over a (B, t, d) stack of position-augmented inputs.
+
+    Rows that ``valid`` masks out never influence the hidden states of the
+    valid rows.
+    """
     stack = []
     for lp in params.layers:
         x, bw = _layer_forward(x, valid, lp, params.config.num_heads)
@@ -303,32 +300,6 @@ def _encode_stack(x, valid: np.ndarray, params: RouterParams):
         return grad
 
     return x, backward
-
-
-def encode(seq: StepSequence, params: RouterParams):
-    """N encoder layers over the position-augmented sequence.
-
-    Returns (H, backward) where backward maps dL/dH to dL/d-embeddings and
-    accumulates parameter gradients. Invalid positions never influence the
-    hidden states at valid positions.
-    """
-    seq = truncate_sequence(seq, params.config.max_len)
-    x, bw_pos = add_positions(seq, params)
-    hidden, bw_layers = _encode_stack(x[None], seq.mask.astype(bool), params)
-
-    def backward(grad: Matrix) -> Matrix:
-        return bw_pos(bw_layers(grad[None])[0])
-
-    return hidden[0], backward
-
-
-def pool_last_valid(hidden: Matrix, mask) -> np.ndarray:
-    """Hidden state of the most recent valid step."""
-    m = np.asarray(mask).reshape(-1)
-    n = int(m.sum())
-    if n == 0:
-        raise EmptySequenceError("cannot pool an all-invalid sequence")
-    return hidden[n - 1]
 
 
 def forward_probs_batch(seqs, params: RouterParams):
@@ -403,15 +374,15 @@ def route(seq: StepSequence, params: RouterParams, mode: str = "greedy",
 #
 # Little-endian binary:
 #   magic   4 bytes  b"MXRT"
-#   version u32      currently 1
+#   version u32      currently 2 (version 1 carried one more f64 after the config)
 #   config  6 x u32  (embed_dim, num_layers, num_heads, ffn_dim,
-#                     num_precisions, max_len) + f64 dropout
+#                     num_precisions, max_len)
 #   then, for every tensor in RouterParams.tensors() order:
 #     rows u32, cols u32, rows*cols f64 values
 
 CHECKPOINT_MAGIC = b"MXRT"
-CHECKPOINT_VERSION = 1
-_HEADER = struct.Struct("<4sI6Id")
+CHECKPOINT_VERSION = 2
+_HEADER = struct.Struct("<4sI6I")
 _SHAPE = struct.Struct("<II")
 
 
@@ -421,7 +392,7 @@ def save_params(params: RouterParams, path) -> None:
         f.write(_HEADER.pack(
             CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
             cfg.embed_dim, cfg.num_layers, cfg.num_heads, cfg.ffn_dim,
-            cfg.num_precisions, cfg.max_len, cfg.dropout,
+            cfg.num_precisions, cfg.max_len,
         ))
         for _, tensor in params.tensors():
             rows, cols = tensor.value.shape
@@ -435,7 +406,7 @@ def load_params(path, config: RouterConfig | None = None) -> RouterParams:
     if len(blob) < _HEADER.size or blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptCheckpointError(f"{path}: not a router checkpoint")
     (_, version, embed_dim, num_layers, num_heads, ffn_dim,
-     num_precisions, max_len, dropout) = _HEADER.unpack_from(blob, 0)
+     num_precisions, max_len) = _HEADER.unpack_from(blob, 0)
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
@@ -443,31 +414,29 @@ def load_params(path, config: RouterConfig | None = None) -> RouterParams:
     stored = RouterConfig(
         embed_dim=embed_dim, num_layers=num_layers, num_heads=num_heads,
         ffn_dim=ffn_dim, num_precisions=num_precisions, max_len=max_len,
-        dropout=dropout,
     )
     if config is not None and config != stored:
         raise CheckpointConfigError(
             f"{path}: stored config {stored} does not match expected {config}"
         )
-    params = RouterParams.initialize(stored, seed=0)
+    tensors = []
     offset = _HEADER.size
-    for name, tensor in params.tensors():
+    for name, shape, _ in _layout(stored):
         if offset + _SHAPE.size > len(blob):
             raise CorruptCheckpointError(f"{path}: truncated before {name}")
         rows, cols = _SHAPE.unpack_from(blob, offset)
         offset += _SHAPE.size
-        if (rows, cols) != tensor.value.shape:
+        if (rows, cols) != shape:
             raise CorruptCheckpointError(
-                f"{path}: tensor {name} has shape ({rows}, {cols}), "
-                f"expected {tensor.value.shape}"
+                f"{path}: tensor {name} has shape ({rows}, {cols}), expected {shape}"
             )
         nbytes = rows * cols * 8
         if offset + nbytes > len(blob):
             raise CorruptCheckpointError(f"{path}: truncated inside {name}")
-        tensor.value[:] = np.frombuffer(
+        tensors.append(ParamTensor.from_value(np.frombuffer(
             blob, dtype="<f8", count=rows * cols, offset=offset
-        ).reshape(rows, cols)
+        ).reshape(rows, cols)))
         offset += nbytes
     if offset != len(blob):
         raise CorruptCheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return params
+    return RouterParams._from_tensors(stored, tensors)

@@ -1,4 +1,7 @@
-"""Shared test utilities: central finite differences and relative error."""
+"""Shared test utilities: central finite differences, relative error and
+a writer of the retired version-1 checkpoint layout."""
+
+import struct
 
 import numpy as np
 
@@ -46,3 +49,16 @@ def max_relative_error(analytic, numeric, floor=1.0):
     numeric = np.asarray(numeric, dtype=np.float64)
     denom = np.maximum(floor, np.maximum(np.abs(analytic), np.abs(numeric)))
     return float(np.max(np.abs(analytic - numeric) / denom))
+
+
+def write_version1_checkpoint(params, path):
+    """Save ``params`` in the version-1 layout, whose header also carried an
+    f64 dropout rate after the six u32 config fields."""
+    cfg = params.config
+    with open(path, "wb") as f:
+        f.write(struct.pack("<4sI6Id", b"MXRT", 1, cfg.embed_dim, cfg.num_layers,
+                            cfg.num_heads, cfg.ffn_dim, cfg.num_precisions,
+                            cfg.max_len, 0.0))
+        for _, tensor in params.tensors():
+            f.write(struct.pack("<II", *tensor.value.shape))
+            f.write(tensor.value.astype("<f8").tobytes())

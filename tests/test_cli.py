@@ -14,6 +14,9 @@ from mixroute.cli import (
     main,
 )
 from mixroute.config import ConfigValidationError, load_run_config
+from mixroute.router import load_params
+
+from helpers import write_version1_checkpoint
 
 
 def small_config(out_dir, **tweaks):
@@ -75,6 +78,14 @@ def test_config_rejects_unknown_keys(tmp_path):
         load_run_config(path)
     assert "sneaky" in str(err.value)
     assert "horizont" in str(err.value)
+
+
+def test_config_rejects_retired_dropout_key(tmp_path):
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({"router": {"dropout": 0.0}}))
+    with pytest.raises(ConfigValidationError) as err:
+        load_run_config(path)
+    assert "unknown key router.dropout" in str(err.value)
 
 
 def test_config_hash_is_stable_and_sensitive():
@@ -156,19 +167,33 @@ def test_train_klst_without_collect_is_missing_artifact(tmp_path):
     ("collect/manifest.json", "train-klst"),
     ("collect/dataset.jsonl", "train-klst"),
     ("klst/router.ckpt", "eval"),
+    ("eval/report.json", "export"),
 ])
 def test_truncated_upstream_artifact_is_unreadable(tmp_path, capsys, artifact, stage):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)
-    assert main(["--config", str(cfg), "collect"]) == EXIT_OK
-    if artifact.startswith("klst/"):
-        assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
+    upstream = {"collect": ["collect"], "klst": ["collect", "train-klst"], "eval": ["eval"]}
+    for command in upstream[artifact.split("/")[0]]:
+        assert main(["--config", str(cfg), command]) == EXIT_OK
     path = out / artifact
     data = path.read_bytes()
     path.write_bytes(data[:len(data) // 2])
     capsys.readouterr()
     assert main(["--config", str(cfg), stage]) == EXIT_MISSING
     assert str(path) in capsys.readouterr().err
+
+
+def test_eval_refuses_version_1_checkpoint(tmp_path, capsys):
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "collect"]) == EXIT_OK
+    assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
+    path = out / "klst" / "router.ckpt"
+    write_version1_checkpoint(load_params(path), path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "eval"]) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert str(path) in err and "version 1" in err
 
 
 def test_train_grpo_rejects_non_checkpoint(tmp_path):

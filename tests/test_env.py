@@ -26,7 +26,6 @@ from mixroute.env import (
     embed_step,
     kl_divergence,
     make_policy_pair,
-    policy_distribution,
     remote_policy,
     reset,
     rollout,
@@ -130,8 +129,8 @@ def test_policy_pair_degenerate_low_divergence():
     pair = make_policy_pair(cfg)
     state = reset(cfg, 1)
     assert state.t not in state.task.critical_steps  # step 1 is never critical
-    low = policy_distribution(pair, "low", state)
-    high = policy_distribution(pair, "high", state)
+    low = pair.low(state)
+    high = pair.high(state)
     np.testing.assert_array_equal(low, high)
     assert kl_divergence(low, high) == 0.0
 
@@ -161,8 +160,8 @@ def test_policy_distributions_normalized(world, pair):
     for seed in range(100):
         state = reset(world, seed)
         while not state.terminal:
-            for which in ("low", "high"):
-                dist = policy_distribution(pair, which, state)
+            for policy in (pair.low, pair.high):
+                dist = policy(state)
                 assert abs(dist.sum() - 1.0) < 1e-9
                 assert (dist >= 0).all()
                 checked += 1

@@ -11,6 +11,7 @@ from mixroute.evaluation import (
     BaselineSpec,
     evaluate,
     ghc,
+    load_report_json,
     save_frontier_csv,
     save_report_csv,
     save_report_json,
@@ -174,3 +175,4 @@ def test_report_exports(tmp_path, world, pair):
     assert payload[0]["ghc"] is None
     assert len(payload[0]["episodes"]) == 30
     assert payload[1]["ghc"] is not None
+    assert load_report_json(json_path) == reports

@@ -15,7 +15,6 @@ from mixroute.grpo import (
     group_advantages,
     grpo_loss_and_grads,
     grpo_update,
-    routing_kl_penalty,
     train_grpo,
     trajectory_return,
 )
@@ -90,26 +89,33 @@ def _head_only_params(bias):
     return params
 
 
+def _kl_penalty(params, anchor, trajectories):
+    group = TrajectoryGroup(trajectories, np.zeros(len(trajectories)),
+                            np.zeros(len(trajectories)))
+    loss = grpo_loss_and_grads([group], params, anchor, GRPOConfig())
+    params.zero_grads()
+    return loss.kl_penalty
+
+
 def test_routing_kl_penalty_zero_at_anchor():
     params = RouterParams.initialize(TINY, seed=1)
     anchor = AnchorSnapshot(params)
-    seqs = [StepSequence.of(np.random.default_rng(0).normal(size=(2, 4)))]
-    assert routing_kl_penalty(params, anchor, seqs) == 0.0
+    emb = np.random.default_rng(0).normal(size=(2, 4))
+    assert _kl_penalty(params, anchor, [make_traj(emb, [0, 1], True)]) == 0.0
 
 
 def test_routing_kl_penalty_closed_form():
     params = _head_only_params([0.0, 0.0])                      # [0.5, 0.5]
     anchor = AnchorSnapshot(_head_only_params([math.log(0.9), math.log(0.1)]))
-    seqs = [StepSequence.of(np.ones((1, 4)))]
+    traj = make_traj(np.ones((1, 4)), [1], True)
     expected = 0.5 * math.log(0.5 / 0.9) + 0.5 * math.log(0.5 / 0.1)
-    np.testing.assert_allclose(routing_kl_penalty(params, anchor, seqs),
-                               expected, atol=1e-12)
+    np.testing.assert_allclose(_kl_penalty(params, anchor, [traj]), expected, atol=1e-12)
 
 
 def test_routing_kl_penalty_requires_states():
     params = RouterParams.initialize(TINY, seed=0)
     with pytest.raises(ValueError):
-        routing_kl_penalty(params, AnchorSnapshot(params), [])
+        grpo_loss_and_grads([], params, AnchorSnapshot(params), GRPOConfig())
 
 
 def _fixture(seed=0, n_groups=2, traj_per_group=2, max_steps=3):

@@ -288,6 +288,7 @@ def test_dataset_round_trip(tmp_path):
         assert (a.episode, a.t, a.label, a.critical) == (b.episode, b.t, b.label, b.critical)
         assert a.d_t == b.d_t  # repr round-trip is value-exact
         assert (a.sequence.embeddings == b.sequence.embeddings).all()
+        assert a.sequence.n_valid == b.sequence.n_valid
     assert cdf_path.exists()
 
 
@@ -315,3 +316,5 @@ def test_records_prefix_structure():
             np.testing.assert_array_equal(
                 r.sequence.embeddings[-1], recs[-1].sequence.embeddings[i]
             )
+            # prefixes are views of one per-episode matrix, not copies
+            assert np.shares_memory(r.sequence.embeddings, recs[-1].sequence.embeddings)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from mixroute.nn import ShapeMismatchError
+from mixroute.nn import ShapeMismatchError, linear_forward, softmax_rows
 from mixroute.router import (
     CheckpointConfigError,
     CorruptCheckpointError,
@@ -15,16 +15,17 @@ from mixroute.router import (
     RouterConfig,
     RouterParams,
     StepSequence,
-    add_positions,
-    encode,
+    _add_positions,
+    _encode_stack,
     forward_probs,
     forward_probs_batch,
     load_params,
-    pool_last_valid,
     route,
     save_params,
     truncate_sequence,
 )
+
+from helpers import write_version1_checkpoint
 
 SMALL = RouterConfig(embed_dim=8, num_layers=2, num_heads=2, ffn_dim=16, max_len=6)
 
@@ -41,6 +42,15 @@ def seq_of(rows, mask=None):
     return StepSequence(rows, mask)
 
 
+def hidden_states(seq, params):
+    """Encoder output for one sequence, computed as forward_probs_batch does:
+    truncated, position-augmented and encoded as a stack of one."""
+    seq = truncate_sequence(seq, params.config.max_len)
+    x, _ = _add_positions(seq.embeddings[None], seq.n_valid, params)
+    h, _ = _encode_stack(x, seq.mask.astype(bool), params)
+    return h[0]
+
+
 def test_step_sequence_rejects_bad_masks():
     with pytest.raises(EmptySequenceError):
         StepSequence(np.zeros((2, 8)), [0, 0])
@@ -49,16 +59,14 @@ def test_step_sequence_rejects_bad_masks():
 
 
 def test_add_positions_zero_positions(params):
-    for _, t in params.tensors():
-        pass
     params.positional.value[:] = 0.0
     x = np.random.default_rng(0).normal(size=(4, 8))
-    out, _ = add_positions(seq_of(x), params)
+    out, _ = _add_positions(x, 4, params)
     np.testing.assert_array_equal(out, x)
 
 
 def test_add_positions_zero_input(params):
-    out, _ = add_positions(seq_of(np.zeros((3, 8))), params)
+    out, _ = _add_positions(np.zeros((3, 8)), 3, params)
     np.testing.assert_array_equal(out, params.positional.value[:3])
 
 
@@ -66,14 +74,15 @@ def test_add_positions_truncates_oldest_first(params):
     # length max_len + 3: rows 3.. survive and are re-indexed from position 0
     rng = np.random.default_rng(1)
     x = rng.normal(size=(SMALL.max_len + 3, 8))
-    out, _ = add_positions(seq_of(x), params)
+    seq = truncate_sequence(seq_of(x), SMALL.max_len)
+    out, _ = _add_positions(seq.embeddings, seq.n_valid, params)
     assert out.shape == (SMALL.max_len, 8)
     np.testing.assert_array_equal(out, x[3:] + params.positional.value)
 
 
 def test_add_positions_skips_padded_rows(params):
     x = np.random.default_rng(2).normal(size=(4, 8))
-    out, _ = add_positions(seq_of(x, [1, 1, 0, 0]), params)
+    out, _ = _add_positions(x, 2, params)
     np.testing.assert_array_equal(out[2:], x[2:])  # padding passes through
     np.testing.assert_array_equal(out[:2], x[:2] + params.positional.value[:2])
 
@@ -89,24 +98,29 @@ def test_truncation_consistency(params):
 def test_encode_mask_isolation_single_row(params):
     rng = np.random.default_rng(4)
     row = rng.normal(size=(1, 8))
-    h1, _ = encode(seq_of(row), params)
+    h1 = hidden_states(seq_of(row), params)
     padded = np.vstack([row, rng.normal(size=(4, 8))])
-    h5, _ = encode(seq_of(padded, [1, 0, 0, 0, 0]), params)
+    h5 = hidden_states(seq_of(padded, [1, 0, 0, 0, 0]), params)
     # different sequence lengths take different BLAS kernel paths, so the
     # comparison across shapes is value-exact only up to last-ulp rounding;
     # the same-shape garbage-mutation checks below are bitwise
     np.testing.assert_allclose(h1[0], h5[0], rtol=0, atol=1e-12)
+    p1, _ = forward_probs(seq_of(row), params)
+    p5, _ = forward_probs(seq_of(padded, [1, 0, 0, 0, 0]), params)
+    np.testing.assert_allclose(p1, p5, rtol=0, atol=1e-12)
 
 
 def test_encode_padded_perturbation_is_invisible(params):
     rng = np.random.default_rng(5)
     x = rng.normal(size=(5, 8))
     mask = [1, 1, 1, 0, 0]
-    h_a, _ = encode(seq_of(x, mask), params)
+    h_a = hidden_states(seq_of(x, mask), params)
     x2 = x.copy()
     x2[3:] = 1e6 * rng.normal(size=(2, 8))
-    h_b, _ = encode(seq_of(x2, mask), params)
+    h_b = hidden_states(seq_of(x2, mask), params)
     assert (h_a[:3] == h_b[:3]).all()
+    probs, _ = forward_probs_batch([seq_of(x, mask), seq_of(x2, mask)], params)
+    assert (probs[0] == probs[1]).all()
 
 
 def test_encode_outputs_finite_and_bounded():
@@ -114,7 +128,7 @@ def test_encode_outputs_finite_and_bounded():
         rng = np.random.default_rng(seed)
         p = RouterParams.initialize(SMALL, seed=seed)
         x = rng.normal(size=(5, 8))
-        h, _ = encode(seq_of(x), p)
+        h = hidden_states(seq_of(x), p)
         assert np.all(np.isfinite(h))
         assert np.linalg.norm(h) <= 10.0 * max(np.linalg.norm(x), 1.0)
 
@@ -130,13 +144,19 @@ def test_route_mask_isolation(params):
     assert (base.probs == again.probs).all()
 
 
-def test_pool_last_valid():
-    h = np.arange(15.0).reshape(5, 3)
-    np.testing.assert_array_equal(pool_last_valid(h, [1, 1, 1, 0, 0]), h[2])
-    np.testing.assert_array_equal(pool_last_valid(h, [1] * 5), h[4])
-    np.testing.assert_array_equal(pool_last_valid(h[:1], [1]), h[0])
+def test_pool_last_valid(params):
+    """The head reads the hidden state of the most recent valid step."""
+    x = np.random.default_rng(7).normal(size=(5, 8))
+    for rows, mask in ((x, [1, 1, 1, 0, 0]), (x, [1] * 5), (x[:1], [1])):
+        seq = seq_of(rows, mask)
+        h = hidden_states(seq, params)
+        logits, _ = linear_forward(h[seq.n_valid - 1:seq.n_valid],
+                                   params.head_weight, params.head_bias)
+        expected, _ = softmax_rows(logits)
+        probs, _ = forward_probs(seq, params)
+        np.testing.assert_array_equal(probs, expected[0])
     with pytest.raises(EmptySequenceError):
-        pool_last_valid(h, [0, 0, 0, 0, 0])
+        seq_of(x, [0, 0, 0, 0, 0])
 
 
 def test_route_greedy_tie_breaks_to_cheap(params):
@@ -235,12 +255,44 @@ def test_checkpoint_bad_magic_and_version(tmp_path, params):
         load_params(versioned, SMALL)
 
 
+def test_checkpoint_version_1_refused(tmp_path, params):
+    path = tmp_path / "v1.ckpt"
+    write_version1_checkpoint(params, path)
+    with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
+        load_params(path, SMALL)
+
+
 def test_checkpoint_trailing_bytes(tmp_path, params):
     path = tmp_path / "router.ckpt"
     save_params(params, path)
     path.write_bytes(path.read_bytes() + b"xx")
     with pytest.raises(CorruptCheckpointError):
         load_params(path, SMALL)
+
+
+def test_copy_is_bitwise_and_shares_no_buffer(params):
+    rng = np.random.default_rng(13)
+    for _, t in params.tensors():  # give the original state worth keeping
+        t.grad[:] = rng.normal(size=t.shape)
+        t.adam_m[:] = rng.normal(size=t.shape)
+        t.adam_v[:] = rng.uniform(size=t.shape)
+        t.step_count = 3
+    before = [(t.value.copy(), t.grad.copy(), t.adam_m.copy(), t.adam_v.copy())
+              for _, t in params.tensors()]
+    clone = params.copy()
+    assert clone.config == params.config
+    assert [n for n, _ in clone.tensors()] == [n for n, _ in params.tensors()]
+    for (_, src), (_, dst) in zip(params.tensors(), clone.tensors()):
+        assert dst.value.tobytes() == src.value.tobytes()
+        assert not dst.grad.any() and not dst.adam_m.any() and not dst.adam_v.any()
+        assert dst.step_count == 0
+        for buf in (dst.value, dst.grad, dst.adam_m, dst.adam_v):
+            buf += 1.0
+        dst.step_count = 9
+    for (_, t), (value, grad, m, v) in zip(params.tensors(), before):
+        for buf, kept in ((t.value, value), (t.grad, grad), (t.adam_m, m), (t.adam_v, v)):
+            np.testing.assert_array_equal(buf, kept)
+        assert t.step_count == 3
 
 
 def test_truncate_sequence_noop_within_limit():
