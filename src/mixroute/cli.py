@@ -91,6 +91,11 @@ def _upstream_output(manifest: dict, name: str) -> Path:
     path = Path(entry["path"])
     if not path.exists():
         raise StageError(f"missing upstream artifact: {path}", EXIT_MISSING)
+    if _sha256(path) != entry.get("sha256"):
+        raise StageError(
+            f"modified upstream artifact: {path} (its sha256 differs from the manifest's)",
+            EXIT_MISSING,
+        )
     return path
 
 
@@ -280,10 +285,10 @@ def cmd_eval(cfg: RunConfig) -> int:
     labels = {}
     inputs = {}
     for stage_name in ("klst", "grpo"):
-        ckpt = cfg.output_dir / stage_name / "router.ckpt"
-        if ckpt.exists():
-            _read_manifest(cfg.output_dir / stage_name,
-                           f"train-{stage_name}", cfg)
+        stage_dir = cfg.output_dir / stage_name
+        if (stage_dir / "router.ckpt").exists() or (stage_dir / "manifest.json").exists():
+            upstream = _read_manifest(stage_dir, f"train-{stage_name}", cfg)
+            ckpt = _upstream_output(upstream, "checkpoint")
             spec = BaselineSpec("router", params=_load_checkpoint(ckpt, cfg),
                                 mode=cfg.eval.mode)
             specs.append(spec)

@@ -32,7 +32,13 @@ from typing import Callable
 
 import numpy as np
 
-from .router import RouterParams, StepSequence, route, sample_categorical
+from .router import (
+    RouterParams,
+    StepSequence,
+    choose_precision,
+    forward_probs_batch,
+    sample_categorical,
+)
 
 # RNG stream tags (first entropy word after the master seed)
 STREAM_TASK = 0
@@ -494,28 +500,14 @@ class RouterDriver:
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 
-def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
-            master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64,
-            record_embeddings: bool | None = None) -> Trajectory:
-    """Run one episode under a driver.
+def _episode(pair: PolicyPair, driver: Driver, state: EnvState,
+             policy_rng: np.random.Generator, driver_rng: np.random.Generator,
+             router_rng: np.random.Generator, embed_dim: int, record_embeddings: bool):
+    """One episode's step loop from ``state``, as a generator.
 
-    fixed_low / fixed_high query a single policy; random(p) flips an
-    independent coin per step; the router driver routes each step from the
-    incrementally built StepSequence; klst_collect evaluates both policies,
-    records D_t = KL(low || high) and executes the high-precision sample.
+    At each router decision it yields the step's StepSequence and takes the
+    router's probabilities back; it returns the finished Trajectory.
     """
-    policy_rng = _rng(master_seed, STREAM_POLICY, episode_seed, sample_index)
-    driver_rng = _rng(master_seed, STREAM_DRIVER, episode_seed, sample_index)
-    router_rng = _rng(master_seed, STREAM_ROUTER, episode_seed, sample_index)
-
-    if isinstance(driver, RouterDriver):
-        if driver.params.config.num_precisions != 2:
-            raise ValueError("synthetic rollouts need a binary (K=2) router")
-        embed_dim = driver.params.config.embed_dim
-    if record_embeddings is None:
-        record_embeddings = isinstance(driver, (RouterDriver, KlstCollect))
-
-    state = reset(config, episode_seed)
     steps: list[TrajStep] = []
     embeddings: list[np.ndarray] = []
     prev_action: int | None = None
@@ -542,9 +534,8 @@ def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: i
             d_t = kl_divergence(low_dist, high_dist)
             executed = HIGH
         elif isinstance(driver, RouterDriver):
-            seq = StepSequence.of(np.asarray(embeddings))
-            decision = route(seq, driver.params, driver.mode, router_rng)
-            choice = decision.chosen
+            probs = yield StepSequence.of(np.asarray(embeddings))
+            choice = choose_precision(probs, driver.mode, router_rng)
             executed = HIGH if choice == HIGH else LOW
         else:
             raise TypeError(f"unknown driver {driver!r}")
@@ -570,13 +561,77 @@ def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: i
         state, _, _, _ = step(state, action)
 
     return Trajectory(
-        episode_seed=episode_seed,
+        episode_seed=state.episode_seed,
         driver=driver.tag,
         steps=tuple(steps),
         success=state.success,
         n_high=n_high,
         n_steps=len(steps),
     )
+
+
+def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
+                  sample_indices, master_seed: int = 0, embed_dim: int = 64,
+                  record_embeddings: bool | None = None) -> list[Trajectory]:
+    """Run one episode seed once per sample index, the members in lockstep.
+
+    The members share one task instance (one reset, so one low-policy
+    table) and differ only in their sampling streams. Every live member has
+    taken the same number of steps, so each round's router decisions go
+    through the router as one stack; each trajectory is bitwise equal to
+    the member's own ``rollout``.
+    """
+    if isinstance(driver, RouterDriver):
+        if driver.params.config.num_precisions != 2:
+            raise ValueError("synthetic rollouts need a binary (K=2) router")
+        embed_dim = driver.params.config.embed_dim
+    if record_embeddings is None:
+        record_embeddings = isinstance(driver, (RouterDriver, KlstCollect))
+
+    start = reset(config, episode_seed)
+    # Members after the first start from their own copy of the state, all
+    # holding the one task: a policy that tells decision steps apart by the
+    # state object it is handed sees each member's.
+    episodes = [
+        _episode(pair, driver, replace(start) if j else start,
+                 policy_rng=_rng(master_seed, STREAM_POLICY, episode_seed, k),
+                 driver_rng=_rng(master_seed, STREAM_DRIVER, episode_seed, k),
+                 router_rng=_rng(master_seed, STREAM_ROUTER, episode_seed, k),
+                 embed_dim=embed_dim, record_embeddings=record_embeddings)
+        for j, k in enumerate(sample_indices)
+    ]
+    trajectories: list[Trajectory | None] = [None] * len(episodes)
+    requests: dict[int, StepSequence] = {}  # member -> sequence awaiting a decision
+
+    def advance(i: int, probs) -> None:
+        try:
+            requests[i] = episodes[i].send(probs)
+        except StopIteration as finished:
+            trajectories[i] = finished.value
+
+    for i in range(len(episodes)):
+        advance(i, None)
+    while requests:
+        live = list(requests)
+        probs, _ = forward_probs_batch([requests.pop(i) for i in live], driver.params)
+        for row, i in enumerate(live):
+            advance(i, probs[row])
+    return trajectories
+
+
+def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
+            master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64,
+            record_embeddings: bool | None = None) -> Trajectory:
+    """Run one episode under a driver: the one-member ``rollout_group``.
+
+    fixed_low / fixed_high query a single policy; random(p) flips an
+    independent coin per step; the router driver routes each step from the
+    incrementally built StepSequence; klst_collect evaluates both policies,
+    records D_t = KL(low || high) and executes the high-precision sample.
+    """
+    return rollout_group(config, pair, driver, episode_seed, [sample_index],
+                         master_seed=master_seed, embed_dim=embed_dim,
+                         record_embeddings=record_embeddings)[0]
 
 
 def _rollout_job(args) -> Trajectory:

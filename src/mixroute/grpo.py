@@ -16,13 +16,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvConfig, PolicyPair, RouterDriver, Trajectory, rollout
+from .env import EnvConfig, PolicyPair, RouterDriver, Trajectory, rollout_group
 from .nn import AdamConfig, PROB_FLOOR, adam_step
 from .router import (
     RouterParams,
     StepSequence,
     forward_probs_batch,
     prefix_sequences,
+    shape_stacks,
     truncate_sequence,
 )
 
@@ -138,12 +139,9 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
     n_states = len(states)
 
     params.zero_grads()
-    stacks: dict[tuple[int, int], list[int]] = {}
-    for i, (seq, _, _, _) in enumerate(states):
-        stacks.setdefault((seq.length, seq.n_valid), []).append(i)
     log_pick = [0.0] * n_states  # log pi(r_t | s_t), floored
     kl_terms = [0.0] * n_states  # KL(pi || pi_0) at s_t
-    for rows in stacks.values():
+    for rows in shape_stacks([seq for seq, _, _, _ in states]):
         batch = [states[i][0] for i in rows]
         probs, backward = forward_probs_batch(batch, params)
         anchor_probs = forward_probs_batch(batch, anchor.params)[0]
@@ -208,7 +206,8 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
     """Consume the episode budget in groups of ``group_size`` rollouts.
 
     Each group shares one task instance (same episode seed); its members
-    differ only in their sampling streams. One update is applied per group.
+    differ only in their sampling streams and are rolled out in lockstep.
+    One update is applied per group.
     """
     if config.episode_budget < config.group_size:
         raise ValueError(
@@ -222,11 +221,8 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
     for g in range(n_groups):
         episode_seed = episode_seed_start + g
         driver = RouterDriver(params, mode="sampled")
-        trajectories = [
-            rollout(env_config, pair, driver, episode_seed,
-                    master_seed=config.seed, sample_index=i)
-            for i in range(config.group_size)
-        ]
+        trajectories = rollout_group(env_config, pair, driver, episode_seed,
+                                     range(config.group_size), master_seed=config.seed)
         group = TrajectoryGroup.build(trajectories, reward, config.epsilon)
         loss = grpo_update([group], params, anchor, config)
         total_steps = sum(t.n_steps for t in trajectories)

@@ -17,7 +17,13 @@ import numpy as np
 from .env import EnvConfig, KlstCollect, PolicyPair, run_episodes
 from .env import kl_divergence  # noqa: F401  re-exported as part of the klst API
 from .nn import AdamConfig, adam_step, weighted_cross_entropy
-from .router import RouterParams, StepSequence, forward_probs, prefix_sequences
+from .router import (
+    RouterParams,
+    StepSequence,
+    forward_probs_batch,
+    prefix_sequences,
+    shape_stacks,
+)
 
 DATASET_SCHEMA_VERSION = 1
 VALIDATION_FRACTION = 0.1  # share of episodes held out to pick the best epoch
@@ -234,11 +240,12 @@ class KlstResult:
 
 
 def predict_labels(params: RouterParams, records) -> np.ndarray:
-    """Greedy router decision per record."""
+    """Greedy router decision per record (ties go to index 0), one router
+    pass per stack of same-shape sequences."""
     out = np.empty(len(records), dtype=np.intp)
-    for i, r in enumerate(records):
-        probs, _ = forward_probs(r.sequence, params)
-        out[i] = int(np.argmax(probs))
+    for rows in shape_stacks([r.sequence for r in records]):
+        probs, _ = forward_probs_batch([records[i].sequence for i in rows], params)
+        out[rows] = np.argmax(probs, axis=1)
     return out
 
 
@@ -258,6 +265,24 @@ def _validation_metrics(params, records):
             per_class.append(None)
     balanced = float(np.mean(recalls)) if recalls else 0.0
     return accuracy, balanced, per_class[0], per_class[1]
+
+
+def _minibatch_gradient(batch, params: RouterParams, weights) -> float:
+    """Add the gradient of the batch's mean weighted cross-entropy to the
+    parameter tensors and return the sum of its records' losses.
+
+    Each stack of same-shape sequences takes one forward and one backward
+    pass, the backward before the next stack's forward; a stack's gradient
+    is its own mean scaled by its share of the batch.
+    """
+    loss_sum = 0.0
+    for rows in shape_stacks([r.sequence for r in batch]):
+        stack = [batch[i] for i in rows]
+        probs, backward = forward_probs_batch([r.sequence for r in stack], params)
+        loss, bw_ce = weighted_cross_entropy(probs, [r.label for r in stack], weights)
+        loss_sum += loss * len(stack)
+        backward(bw_ce() * (len(stack) / len(batch)))
+    return loss_sum
 
 
 def train_klst(dataset: SupervisionDataset, params: RouterParams,
@@ -301,13 +326,7 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
         for start in range(0, len(perm), config.batch_size):
             batch = [train_records[i] for i in perm[start:start + config.batch_size]]
             params.zero_grads()
-            for rec in batch:
-                probs, backward = forward_probs(rec.sequence, params)
-                loss, bw_ce = weighted_cross_entropy(
-                    probs.reshape(1, -1), [rec.label], weights
-                )
-                epoch_loss += loss
-                backward(bw_ce()[0] / len(batch))
+            epoch_loss += _minibatch_gradient(batch, params, weights)
             for tensor in tensors:
                 adam_step(tensor, adam)
         train_loss = epoch_loss / max(len(train_records), 1)

@@ -208,6 +208,17 @@ def prefix_sequences(embeddings) -> list[StepSequence]:
     return [StepSequence(emb[:i + 1], ones[:i + 1]) for i in range(emb.shape[0])]
 
 
+def shape_stacks(seqs) -> list[list[int]]:
+    """Indices of ``seqs`` grouped by (length, n_valid), groups and the
+    indices within them in first-seen order. Every group is one stack for
+    ``forward_probs_batch``: no padding, so each row stays bitwise equal to
+    its own ``forward_probs``."""
+    stacks: dict[tuple[int, int], list[int]] = {}
+    for i, seq in enumerate(seqs):
+        stacks.setdefault((seq.length, seq.n_valid), []).append(i)
+    return list(stacks.values())
+
+
 def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
     """Keep the most recent ``max_len`` valid steps; drop padding if cutting."""
     if seq.length <= max_len:
@@ -351,23 +362,28 @@ def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
     return int(min(np.searchsorted(cum, u, side="right"), len(probs) - 1))
 
 
-def route(seq: StepSequence, params: RouterParams, mode: str = "greedy",
-          rng: np.random.Generator | None = None) -> RoutingDistribution:
-    """Route one decision step.
+def choose_precision(probs: np.ndarray, mode: str,
+                     rng: np.random.Generator | None = None) -> int:
+    """Pick a precision from router probabilities.
 
     Greedy mode breaks ties toward the lowest index, i.e. the cheapest
     precision. Sampled mode draws from the categorical using ``rng``.
     """
-    probs, _ = forward_probs(seq, params)
     if mode == "greedy":
-        chosen = int(np.argmax(probs))
-    elif mode == "sampled":
+        return int(np.argmax(probs))
+    if mode == "sampled":
         if rng is None:
             raise ValueError("sampled mode requires an rng")
-        chosen = sample_categorical(probs, rng)
-    else:
-        raise ValueError(f"unknown routing mode {mode!r}")
-    return RoutingDistribution(probs=probs, chosen=chosen, mode=mode)
+        return sample_categorical(probs, rng)
+    raise ValueError(f"unknown routing mode {mode!r}")
+
+
+def route(seq: StepSequence, params: RouterParams, mode: str = "greedy",
+          rng: np.random.Generator | None = None) -> RoutingDistribution:
+    """Route one decision step (see ``choose_precision`` for the modes)."""
+    probs, _ = forward_probs(seq, params)
+    return RoutingDistribution(probs=probs, chosen=choose_precision(probs, mode, rng),
+                               mode=mode)
 
 
 # --- checkpoint format -------------------------------------------------------

@@ -1,5 +1,6 @@
 """CLI stages, exit codes, manifests and provenance guards."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -183,6 +184,57 @@ def test_truncated_upstream_artifact_is_unreadable(tmp_path, capsys, artifact, s
     assert str(path) in capsys.readouterr().err
 
 
+def _record_sha256(manifest_path, output, path):
+    """Write ``path``'s current sha256 into the manifest, as if the stage had
+    written the file itself."""
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"][output]["sha256"] = hashlib.sha256(path.read_bytes()).hexdigest()
+    manifest_path.write_text(json.dumps(manifest))
+
+
+def _relabel_negatives(path):
+    text = path.read_text()
+    assert '"y": 0' in text
+    path.write_text(text.replace('"y": 0', '"y": 1'))
+
+
+def _flip_last_byte(path):
+    data = bytearray(path.read_bytes())
+    data[-1] ^= 0x01
+    path.write_bytes(bytes(data))
+
+
+def _edit_report(path):
+    report = json.loads(path.read_text())
+    report[0]["method"] = "edited"
+    path.write_text(json.dumps(report, indent=2, sort_keys=True))
+
+
+@pytest.mark.parametrize("artifact, edit, upstream, stage", [
+    pytest.param("collect/dataset.jsonl", _relabel_negatives, ["collect"], "train-klst",
+                 id="relabelled-dataset-train-klst"),
+    pytest.param("klst/router.ckpt", _flip_last_byte, ["collect", "train-klst"], "train-grpo",
+                 id="flipped-checkpoint-train-grpo"),
+    pytest.param("klst/router.ckpt", _flip_last_byte, ["collect", "train-klst"], "eval",
+                 id="flipped-checkpoint-eval"),
+    pytest.param("eval/report.json", _edit_report, ["eval"], "export",
+                 id="edited-report-export"),
+])
+def test_modified_upstream_artifact_is_refused(tmp_path, capsys, artifact, edit,
+                                               upstream, stage):
+    """An artifact that still parses but differs from the sha256 its
+    manifest recorded is refused, naming the file."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    for command in upstream:
+        assert main(["--config", str(cfg), command]) == EXIT_OK
+    path = out / artifact
+    edit(path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), stage]) == EXIT_MISSING
+    assert str(path) in capsys.readouterr().err
+
+
 def test_eval_refuses_version_1_checkpoint(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)
@@ -190,6 +242,7 @@ def test_eval_refuses_version_1_checkpoint(tmp_path, capsys):
     assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
     path = out / "klst" / "router.ckpt"
     write_version1_checkpoint(load_params(path), path)
+    _record_sha256(out / "klst" / "manifest.json", "checkpoint", path)
     capsys.readouterr()
     assert main(["--config", str(cfg), "eval"]) == EXIT_MISSING
     err = capsys.readouterr().err

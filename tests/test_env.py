@@ -20,8 +20,10 @@ from mixroute.env import (
     FixedLow,
     KlstCollect,
     MalformedResponseError,
+    PolicyPair,
     RandomDriver,
     RemoteTimeoutError,
+    RouterDriver,
     UnnormalizedDistributionError,
     embed_step,
     kl_divergence,
@@ -29,11 +31,14 @@ from mixroute.env import (
     remote_policy,
     reset,
     rollout,
+    rollout_group,
     run_episodes,
     save_trajectories,
     load_trajectories,
     step,
 )
+from mixroute import env as env_module
+from mixroute.router import RouterConfig, RouterParams
 
 
 @pytest.fixture(scope="module")
@@ -429,6 +434,60 @@ def test_trajectory_jsonl_round_trip(tmp_path, world, pair):
         assert [s.action for s in a.steps] == [s.action for s in b.steps]
         assert [s.d_t for s in a.steps] == [s.d_t for s in b.steps]
         assert [s.observation for s in a.steps] == [s.observation for s in b.steps]
+
+
+def assert_same_trajectory(a, b):
+    """Field by field; embeddings bitwise."""
+    assert (a.episode_seed, a.driver, a.success, a.n_high, a.n_steps) == \
+        (b.episode_seed, b.driver, b.success, b.n_high, b.n_steps)
+    assert len(a.steps) == len(b.steps)
+    for x, y in zip(a.steps, b.steps):
+        for f in dataclasses.fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            if f.name == "embedding" and u is not None:
+                assert np.array_equal(u, v)
+            else:
+                assert u == v, f.name
+
+
+LOCKSTEP_ROUTER = RouterParams.initialize(RouterConfig(), seed=3)
+
+
+@pytest.mark.parametrize("driver", [
+    FixedLow(), FixedHigh(), RandomDriver(0.4), KlstCollect(),
+    RouterDriver(LOCKSTEP_ROUTER, mode="greedy"), RouterDriver(LOCKSTEP_ROUTER, mode="sampled"),
+], ids=["fixed_low", "fixed_high", "random", "klst_collect", "router_greedy", "router_sampled"])
+def test_lockstep_group_matches_solo_rollouts(world, pair, driver):
+    sample_indices = [5, 0, 3, 9, 1, 7]
+    lengths = set()
+    for episode_seed in range(4):
+        group = rollout_group(world, pair, driver, episode_seed, sample_indices, master_seed=2)
+        assert len(group) == len(sample_indices)
+        for k, traj in zip(sample_indices, group):
+            assert_same_trajectory(
+                traj, rollout(world, pair, driver, episode_seed, master_seed=2, sample_index=k))
+        lengths.add(tuple(t.n_steps for t in group))
+    if not isinstance(driver, (FixedHigh, KlstCollect)):
+        # members of one group leave the lockstep at different steps
+        assert any(len(set(n)) > 1 for n in lengths)
+
+
+def test_group_members_share_one_low_table(world, pair, monkeypatch):
+    solved = []
+    solve = env_module._solve_low_table
+    monkeypatch.setattr(env_module, "_solve_low_table",
+                        lambda task: solved.append(task) or solve(task))
+    seen = []
+    recording = PolicyPair(high=pair.high, low=lambda state: seen.append(state) or pair.low(state))
+    group = rollout_group(world, recording, FixedLow(), 3, range(8))
+    assert len(solved) == 1
+    # one state object per member and step, all holding the one task
+    assert len({id(state) for state in seen}) == sum(t.n_steps for t in group)
+    assert len({id(state.task) for state in seen}) == 1
+    solved.clear()
+    for k in range(8):
+        rollout(world, pair, FixedLow(), 3, sample_index=k)
+    assert len(solved) == 8
 
 
 def test_parallel_rollouts_match_serial(world, pair):

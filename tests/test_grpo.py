@@ -5,7 +5,9 @@ import math
 import numpy as np
 import pytest
 
-from mixroute.env import EnvConfig, TrajStep, Trajectory, make_policy_pair
+from mixroute import env as env_module
+from mixroute import grpo as grpo_module
+from mixroute.env import EnvConfig, TrajStep, Trajectory, make_policy_pair, reset, rollout
 from mixroute.grpo import (
     AnchorSnapshot,
     GRPOConfig,
@@ -332,6 +334,39 @@ def test_train_grpo_deterministic():
     assert [m.__dict__ for m in a.curve] == [m.__dict__ for m in b.curve]
     for (_, ta), (_, tb) in zip(a.params.tensors(), b.params.tensors()):
         assert (ta.value == tb.value).all()
+
+
+def test_train_grpo_lockstep_matches_solo_rollouts(monkeypatch):
+    """Groups rolled out in lockstep give the curve and parameters, bitwise,
+    of groups rolled out one member at a time."""
+    env = EnvConfig()
+    pair = make_policy_pair(env)
+    init = RouterParams.initialize(RouterConfig(), seed=2)
+    cfg = GRPOConfig(group_size=8, episode_budget=32, learning_rate=1e-3, seed=4)
+    lockstep = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
+
+    def one_at_a_time(config, pair, driver, episode_seed, sample_indices, master_seed):
+        return [rollout(config, pair, driver, episode_seed, master_seed=master_seed,
+                        sample_index=k) for k in sample_indices]
+
+    monkeypatch.setattr(grpo_module, "rollout_group", one_at_a_time)
+    solo = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
+    assert [m.__dict__ for m in lockstep.curve] == [m.__dict__ for m in solo.curve]
+    for (_, ta), (_, tb) in zip(lockstep.params.tensors(), solo.params.tensors()):
+        assert (ta.value == tb.value).all()
+
+
+def test_train_grpo_solves_each_group_task_once(monkeypatch):
+    env = EnvConfig()
+    pair = make_policy_pair(env)
+    solved = []
+    solve = env_module._solve_low_table
+    monkeypatch.setattr(env_module, "_solve_low_table",
+                        lambda task: solved.append(task) or solve(task))
+    init = RouterParams.initialize(RouterConfig(), seed=2)
+    train_grpo(env, pair, init, GRPOConfig(group_size=8, episode_budget=24, seed=1))
+    assert [task.task_id for task in solved] == [
+        reset(env, seed).task.task_id for seed in range(3)]
 
 
 def test_normalize_by_steps_flag():

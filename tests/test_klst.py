@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from mixroute import klst as klst_module
 from mixroute.env import EnvConfig, PolicyPair, make_policy_pair
 from mixroute.klst import (
     EmptyCollectionError,
@@ -19,11 +20,13 @@ from mixroute.klst import (
     kl_divergence,
     label_steps,
     load_dataset,
+    predict_labels,
     save_dataset,
     train_klst,
     trajectories_to_records,
 )
-from mixroute.router import RouterConfig, RouterParams, StepSequence
+from mixroute.nn import weighted_cross_entropy
+from mixroute.router import RouterConfig, RouterParams, StepSequence, forward_probs
 
 
 def test_kl_identity():
@@ -318,3 +321,86 @@ def test_records_prefix_structure():
             )
             # prefixes are views of one per-episode matrix, not copies
             assert np.shares_memory(r.sequence.embeddings, recs[-1].sequence.embeddings)
+
+
+# --- stage 1 in stacks against stage 1 record by record ---------------------------
+
+def _per_record_gradient(batch, params, weights):
+    """Test oracle: the record-by-record stage-1 minibatch that the stacked
+    ``_minibatch_gradient`` replaced."""
+    loss_sum = 0.0
+    for rec in batch:
+        probs, backward = forward_probs(rec.sequence, params)
+        loss, bw_ce = weighted_cross_entropy(probs.reshape(1, -1), [rec.label], weights)
+        loss_sum += loss
+        backward(bw_ce()[0] / len(batch))
+    return loss_sum
+
+
+@pytest.fixture(scope="module")
+def collected_dataset():
+    cfg = EnvConfig()
+    kept, _ = collect(cfg, make_policy_pair(cfg), 60, master_seed=0, embed_dim=64)
+    return build_supervision_dataset(kept, LabelingConfig(0.85))
+
+
+def _padded_separable_dataset():
+    """Separable records, every third one padded with two zero rows; under a
+    router whose max_len of 4 truncates the longer ones."""
+    dataset = _separable_dataset(n_episodes=40)
+    for r in dataset.records[::3]:
+        emb = np.vstack([r.sequence.embeddings, np.zeros((2, 16))])
+        r.sequence = StepSequence(emb, np.r_[r.sequence.mask, 0, 0])
+    return dataset
+
+
+def _cases(collected):
+    return [(collected, RouterConfig()),
+            (_padded_separable_dataset(),
+             RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_len=4))]
+
+
+def _grads(params):
+    return [t.grad.copy() for _, t in params.tensors()]
+
+
+def test_stacked_minibatch_gradient_matches_per_record(collected_dataset):
+    """Gradients agree within 1e-12 of the largest entry over all tensors:
+    only the summation order differs. (A per-tensor relative check would
+    fail on tensors whose true gradient is 0, such as the key biases, whose
+    entries are rounding noise.)"""
+    for dataset, router in _cases(collected_dataset):
+        records = dataset.records
+        rng = np.random.default_rng(0)
+        for k in range(10):
+            params = RouterParams.initialize(router, seed=k)
+            batch = [records[int(i)] for i in rng.choice(len(records), 64, replace=False)]
+            params.zero_grads()
+            loss = klst_module._minibatch_gradient(batch, params, dataset.weights)
+            stacked = _grads(params)
+            params.zero_grads()
+            oracle_loss = _per_record_gradient(batch, params, dataset.weights)
+            oracle = _grads(params)
+            scale = max(float(np.abs(g).max()) for g in oracle)
+            worst = max(float(np.abs(a - b).max()) for a, b in zip(stacked, oracle))
+            assert scale > 0 and worst <= 1e-12 * scale
+            assert loss == pytest.approx(oracle_loss, rel=1e-12)
+
+
+def test_stacked_predict_labels_match_per_record_argmax(collected_dataset):
+    for dataset, router in _cases(collected_dataset):
+        params = RouterParams.initialize(router, seed=1)
+        expected = [int(np.argmax(forward_probs(r.sequence, params)[0]))
+                    for r in dataset.records]
+        np.testing.assert_array_equal(predict_labels(params, dataset.records), expected)
+
+
+def test_stacked_epoch_loss_matches_per_record(collected_dataset, monkeypatch):
+    config = KlstTrainConfig(epochs=2, learning_rate=1e-3, seed=3)
+    stacked = train_klst(collected_dataset, RouterParams.initialize(RouterConfig(), seed=3),
+                         config)
+    monkeypatch.setattr(klst_module, "_minibatch_gradient", _per_record_gradient)
+    oracle = train_klst(collected_dataset, RouterParams.initialize(RouterConfig(), seed=3),
+                        config)
+    for a, b in zip(stacked.metrics, oracle.metrics):
+        assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
