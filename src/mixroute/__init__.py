@@ -41,7 +41,6 @@ from .klst import (
     build_supervision_dataset,
     class_weights,
     collect,
-    empirical_cdf,
     label_steps,
     train_klst,
 )

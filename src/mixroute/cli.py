@@ -4,10 +4,11 @@ Every stage writes its artifacts plus a manifest.json (config hash, seed,
 input/output file hashes) under <output_dir>/<stage>/. Re-running a stage
 with the same config and seed reproduces every artifact byte-identically;
 manifests therefore carry no timestamps. Downstream stages refuse upstream
-artifacts produced under a different config hash.
+artifacts produced under a different config hash, and check the sha256 of
+each upstream file against its manifest.
 
 Exit codes: 0 success, 2 config error, 3 invariant/calibration failure,
-4 missing or unreadable artifact.
+4 missing, unreadable, malformed or modified artifact.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from . import evaluation, grpo, klst
 from .config import ConfigValidationError, RunConfig, load_run_config
-from .env import FixedHigh, FixedLow, make_policy_pair, run_episodes
+from .env import FixedLow, make_policy_pair, run_episodes
 from .evaluation import BaselineSpec, sweep
 from .router import CheckpointError, RouterParams, load_params, save_params
 
@@ -75,7 +76,10 @@ def _read_manifest(stage_dir: Path, stage: str, cfg: RunConfig) -> dict:
         manifest = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:
         raise StageError(f"unreadable upstream artifact: {path} ({exc})", EXIT_MISSING)
-    if manifest.get("config_hash") != cfg.config_hash:
+    problem = _manifest_problem(manifest)
+    if problem:
+        raise StageError(f"malformed upstream manifest: {path} ({problem})", EXIT_MISSING)
+    if manifest["config_hash"] != cfg.config_hash:
         raise StageError(
             f"config hash mismatch against {path}: upstream artifacts were "
             "produced under a different configuration",
@@ -84,14 +88,27 @@ def _read_manifest(stage_dir: Path, stage: str, cfg: RunConfig) -> dict:
     return manifest
 
 
+def _manifest_problem(manifest) -> str | None:
+    """What keeps ``manifest`` from having the shape _write_manifest gives it."""
+    if not isinstance(manifest, dict) or not isinstance(manifest.get("config_hash"), str):
+        return "not a JSON object with a config_hash string"
+    for section in ("inputs", "outputs"):
+        entries = manifest.get(section)
+        if not isinstance(entries, dict) or not all(
+                isinstance(e, dict) and all(isinstance(e.get(k), str) for k in ("path", "sha256"))
+                for e in entries.values()):
+            return f"{section} does not map every name to a string path and sha256"
+    return None
+
+
 def _upstream_output(manifest: dict, name: str) -> Path:
-    entry = manifest.get("outputs", {}).get(name)
+    entry = manifest["outputs"].get(name)
     if entry is None:
         raise StageError(f"upstream manifest lacks output {name!r}", EXIT_MISSING)
     path = Path(entry["path"])
     if not path.exists():
         raise StageError(f"missing upstream artifact: {path}", EXIT_MISSING)
-    if _sha256(path) != entry.get("sha256"):
+    if _sha256(path) != entry["sha256"]:
         raise StageError(
             f"modified upstream artifact: {path} (its sha256 differs from the manifest's)",
             EXIT_MISSING,
@@ -119,19 +136,18 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     stage = _stage_dir(cfg, "calibrate")
     pair = make_policy_pair(cfg.env)
     n = cfg.collect_episodes
-    seeds = range(n)
 
-    high = run_episodes(cfg.env, pair, FixedHigh(), seeds, master_seed=cfg.master_seed,
-                        workers=cfg.workers)
-    low = run_episodes(cfg.env, pair, FixedLow(), seeds, master_seed=cfg.master_seed,
+    low = run_episodes(cfg.env, pair, FixedLow(), range(n), master_seed=cfg.master_seed,
                        workers=cfg.workers)
+    # klst collection rolls out exactly the fixed_high episodes and keeps the
+    # successful ones, so its count is fixed_high's success count.
     collected, stats = klst.collect(cfg.env, pair, n, master_seed=cfg.master_seed,
                                     embed_dim=cfg.router.embed_dim, workers=cfg.workers)
     d_values = np.sort(np.asarray(
         [s.d_t for traj in collected for s in traj.steps], dtype=np.float64
     ))
 
-    high_rate = float(np.mean([t.success for t in high]))
+    high_rate = stats.n_collected / n
     low_rate = float(np.mean([t.success for t in low]))
     low_cut = 1.5 * cfg.env.divergence_low
     high_cut = 0.8 * cfg.env.divergence_high

@@ -27,7 +27,6 @@ import socket
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from pathlib import Path
 from typing import Callable
 
 import numpy as np
@@ -47,8 +46,6 @@ STREAM_ROUTER = 2
 STREAM_DRIVER = 3
 
 LOW, HIGH = 0, 1
-
-TRAJECTORY_SCHEMA_VERSION = 1
 
 
 class EnvConfigError(ValueError):
@@ -454,10 +451,6 @@ class Trajectory:
     n_high: int
     n_steps: int
 
-    def __post_init__(self):
-        if self.n_high > self.n_steps:
-            raise ValueError("high-precision calls cannot exceed total steps")
-
     @property
     def high_ratio(self) -> float:
         return self.n_high / self.n_steps if self.n_steps else 0.0
@@ -502,12 +495,13 @@ Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 def _episode(pair: PolicyPair, driver: Driver, state: EnvState,
              policy_rng: np.random.Generator, driver_rng: np.random.Generator,
-             router_rng: np.random.Generator, embed_dim: int, record_embeddings: bool):
+             router_rng: np.random.Generator, embed_dim: int):
     """One episode's step loop from ``state``, as a generator.
 
     At each router decision it yields the step's StepSequence and takes the
     router's probabilities back; it returns the finished Trajectory.
     """
+    record_embeddings = isinstance(driver, (RouterDriver, KlstCollect))
     steps: list[TrajStep] = []
     embeddings: list[np.ndarray] = []
     prev_action: int | None = None
@@ -571,8 +565,7 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState,
 
 
 def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
-                  sample_indices, master_seed: int = 0, embed_dim: int = 64,
-                  record_embeddings: bool | None = None) -> list[Trajectory]:
+                  sample_indices, master_seed: int = 0, embed_dim: int = 64) -> list[Trajectory]:
     """Run one episode seed once per sample index, the members in lockstep.
 
     The members share one task instance (one reset, so one low-policy
@@ -585,8 +578,6 @@ def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_s
         if driver.params.config.num_precisions != 2:
             raise ValueError("synthetic rollouts need a binary (K=2) router")
         embed_dim = driver.params.config.embed_dim
-    if record_embeddings is None:
-        record_embeddings = isinstance(driver, (RouterDriver, KlstCollect))
 
     start = reset(config, episode_seed)
     # Members after the first start from their own copy of the state, all
@@ -597,7 +588,7 @@ def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_s
                  policy_rng=_rng(master_seed, STREAM_POLICY, episode_seed, k),
                  driver_rng=_rng(master_seed, STREAM_DRIVER, episode_seed, k),
                  router_rng=_rng(master_seed, STREAM_ROUTER, episode_seed, k),
-                 embed_dim=embed_dim, record_embeddings=record_embeddings)
+                 embed_dim=embed_dim)
         for j, k in enumerate(sample_indices)
     ]
     trajectories: list[Trajectory | None] = [None] * len(episodes)
@@ -620,8 +611,7 @@ def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_s
 
 
 def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
-            master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64,
-            record_embeddings: bool | None = None) -> Trajectory:
+            master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64) -> Trajectory:
     """Run one episode under a driver: the one-member ``rollout_group``.
 
     fixed_low / fixed_high query a single policy; random(p) flips an
@@ -630,94 +620,27 @@ def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: i
     records D_t = KL(low || high) and executes the high-precision sample.
     """
     return rollout_group(config, pair, driver, episode_seed, [sample_index],
-                         master_seed=master_seed, embed_dim=embed_dim,
-                         record_embeddings=record_embeddings)[0]
+                         master_seed=master_seed, embed_dim=embed_dim)[0]
 
 
 def _rollout_job(args) -> Trajectory:
-    config, pair, driver, episode_seed, master_seed, embed_dim, record = args
-    return rollout(config, pair, driver, episode_seed, master_seed,
-                   embed_dim=embed_dim, record_embeddings=record)
+    config, pair, driver, episode_seed, master_seed, embed_dim = args
+    return rollout(config, pair, driver, episode_seed, master_seed, embed_dim=embed_dim)
 
 
 def run_episodes(config: EnvConfig, pair: PolicyPair, driver: Driver,
                  episode_seeds, master_seed: int = 0, embed_dim: int = 64,
-                 record_embeddings: bool | None = None,
                  workers: int = 1) -> list[Trajectory]:
     """Roll out many independent episodes, optionally across processes.
 
     Results are ordered by the given seeds regardless of worker count, so
     parallelism never changes the outcome.
     """
-    jobs = [(config, pair, driver, int(s), master_seed, embed_dim, record_embeddings)
-            for s in episode_seeds]
+    jobs = [(config, pair, driver, int(s), master_seed, embed_dim) for s in episode_seeds]
     if workers <= 1:
         return [_rollout_job(j) for j in jobs]
     with ProcessPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(_rollout_job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
-
-
-# --- trajectory persistence (JSONL) -------------------------------------------
-
-def save_trajectories(trajectories, path) -> None:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with open(path, "w", encoding="utf-8") as f:
-        for traj in trajectories:
-            record = {
-                "schema": TRAJECTORY_SCHEMA_VERSION,
-                "episode_seed": traj.episode_seed,
-                "driver": traj.driver,
-                "success": traj.success,
-                "S": traj.n_high,
-                "T": traj.n_steps,
-                "steps": [
-                    {
-                        "t": s.t,
-                        "action": s.action,
-                        "observation_tokens": list(s.observation),
-                        "executed": s.executed,
-                        "crit": s.critical,
-                        **({"r": s.route_choice} if s.route_choice is not None else {}),
-                        **({"D": s.d_t} if s.d_t is not None else {}),
-                    }
-                    for s in traj.steps
-                ],
-            }
-            f.write(json.dumps(record, sort_keys=True) + "\n")
-
-
-def load_trajectories(path) -> list[Trajectory]:
-    out = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if not line.strip():
-                continue
-            rec = json.loads(line)
-            if rec.get("schema") != TRAJECTORY_SCHEMA_VERSION:
-                raise ValueError(f"unsupported trajectory schema {rec.get('schema')}")
-            steps = tuple(
-                TrajStep(
-                    t=s["t"],
-                    observation=tuple(s["observation_tokens"]),
-                    action=s["action"],
-                    executed=s["executed"],
-                    route_choice=s.get("r"),
-                    d_t=s.get("D"),
-                    embedding=None,
-                    critical=s["crit"],
-                )
-                for s in rec["steps"]
-            )
-            out.append(Trajectory(
-                episode_seed=rec["episode_seed"],
-                driver=rec["driver"],
-                steps=steps,
-                success=rec["success"],
-                n_high=rec["S"],
-                n_steps=rec["T"],
-            ))
-    return out
 
 
 # --- remote policy adapter -----------------------------------------------------

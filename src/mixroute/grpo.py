@@ -52,7 +52,6 @@ class GRPOConfig:
     learning_rate: float = 1e-6
     episode_budget: int = 120
     seed: int = 0
-    normalize_by_steps: bool = False  # divide each trajectory's log-prob sum by its length
 
     def __post_init__(self):
         if self.group_size < 1:
@@ -125,23 +124,18 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
     stack's forward, and the loss terms are summed state by state in
     trajectory order.
     """
-    items = []  # (advantage, length scale, [(seq, choice), ...])
-    for group in groups:
-        for traj, adv in zip(group.trajectories, group.advantages):
-            decisions = _decision_sequences(traj, params.config.max_len)
-            scale = 1.0 / len(decisions) if config.normalize_by_steps else 1.0
-            items.append((float(adv), scale, decisions))
+    items = [(float(adv), _decision_sequences(traj, params.config.max_len))
+             for group in groups for traj, adv in zip(group.trajectories, group.advantages)]
     if not items:
         raise ValueError("no trajectories to update on")
     n_traj = len(items)
-    states = [(seq, choice, adv, scale)
-              for adv, scale, decisions in items for seq, choice in decisions]
+    states = [(seq, choice, adv) for adv, decisions in items for seq, choice in decisions]
     n_states = len(states)
 
     params.zero_grads()
     log_pick = [0.0] * n_states  # log pi(r_t | s_t), floored
     kl_terms = [0.0] * n_states  # KL(pi || pi_0) at s_t
-    for rows in shape_stacks([seq for seq, _, _, _ in states]):
+    for rows in shape_stacks([seq for seq, _, _ in states]):
         batch = [states[i][0] for i in rows]
         probs, backward = forward_probs_batch(batch, params)
         anchor_probs = forward_probs_batch(batch, anchor.params)[0]
@@ -149,24 +143,24 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
         log_ratio = np.log(pf / np.maximum(anchor_probs, PROB_FLOOR))
         dprobs = np.zeros_like(probs)
         for r, i in enumerate(rows):
-            _, choice, adv, scale = states[i]
+            _, choice, adv = states[i]
             log_pick[i] = math.log(pf[r, choice])
             kl_terms[i] = float(np.sum(probs[r] * log_ratio[r]))
             if probs[r, choice] > PROB_FLOOR:
-                dprobs[r, choice] = -adv * scale / (n_traj * probs[r, choice])
+                dprobs[r, choice] = -adv / (n_traj * probs[r, choice])
         dprobs += config.beta * (log_ratio + 1.0) / n_states
         backward(dprobs)
 
     policy_term = 0.0
     kl_value = 0.0
     i = 0
-    for adv, scale, decisions in items:
+    for adv, decisions in items:
         log_prob_sum = 0.0
         for _ in decisions:
             log_prob_sum += log_pick[i]
             kl_value += kl_terms[i] / n_states
             i += 1
-        policy_term += -adv * scale * log_prob_sum / n_traj
+        policy_term += -adv * log_prob_sum / n_traj
 
     return GrpoLoss(policy_term, kl_value, policy_term + config.beta * kl_value)
 

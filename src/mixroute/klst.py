@@ -15,7 +15,6 @@ from pathlib import Path
 import numpy as np
 
 from .env import EnvConfig, KlstCollect, PolicyPair, run_episodes
-from .env import kl_divergence  # noqa: F401  re-exported as part of the klst API
 from .nn import AdamConfig, adam_step, weighted_cross_entropy
 from .router import (
     RouterParams,
@@ -109,10 +108,6 @@ class EmpiricalCdf:
         return float(np.searchsorted(self.values, x, side="right")) / self.values.size
 
 
-def empirical_cdf(values) -> EmpiricalCdf:
-    return EmpiricalCdf(values)
-
-
 def label_steps(records, cdf: EmpiricalCdf, config: LabelingConfig) -> list[KLRecord]:
     """y = 1 iff CDF(D) >= threshold. Mutates and returns the records."""
     for r in records:
@@ -148,15 +143,15 @@ def _supervision_dataset(records, cdf: EmpiricalCdf) -> SupervisionDataset:
 
 def build_supervision_dataset(trajectories, labeling: LabelingConfig) -> SupervisionDataset:
     records = trajectories_to_records(trajectories)
-    cdf = empirical_cdf([r.d_t for r in records])
+    cdf = EmpiricalCdf([r.d_t for r in records])
     return _supervision_dataset(label_steps(records, cdf, labeling), cdf)
 
 
 # --- dataset persistence -------------------------------------------------------
 
-def save_dataset(dataset: SupervisionDataset, path, cdf_path=None) -> None:
-    """One step per JSONL line; the step's own embedding is stored and the
-    full sequence is rebuilt from the episode prefix on load."""
+def save_dataset(dataset: SupervisionDataset, path, cdf_path) -> None:
+    """One step per JSONL line (its own embedding; the sequence is rebuilt
+    from the episode prefix on load), and the sorted KL values at cdf_path."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:
@@ -171,12 +166,11 @@ def save_dataset(dataset: SupervisionDataset, path, cdf_path=None) -> None:
                 "y": r.label,
                 "crit": r.critical,
             }, sort_keys=True) + "\n")
-    if cdf_path is not None:
-        Path(cdf_path).write_text(
-            json.dumps({"schema": DATASET_SCHEMA_VERSION,
-                        "sorted_kl": [float(v) for v in dataset.cdf_values]}),
-            encoding="utf-8",
-        )
+    Path(cdf_path).write_text(
+        json.dumps({"schema": DATASET_SCHEMA_VERSION,
+                    "sorted_kl": [float(v) for v in dataset.cdf_values]}),
+        encoding="utf-8",
+    )
 
 
 def load_dataset(path) -> SupervisionDataset:
@@ -200,7 +194,7 @@ def load_dataset(path) -> SupervisionDataset:
         records += [KLRecord(sequence=seq, d_t=float(s["D"]), episode=episode, t=s["t"],
                              critical=bool(s.get("crit", False)), label=s["y"])
                     for seq, s in zip(seqs, steps)]
-    return _supervision_dataset(records, empirical_cdf([r.d_t for r in records]))
+    return _supervision_dataset(records, EmpiricalCdf([r.d_t for r in records]))
 
 
 # --- training ------------------------------------------------------------------

@@ -31,6 +31,9 @@ Matrix = np.ndarray  # 2-D float64, C-contiguous
 # output can never produce an infinite loss.
 PROB_FLOOR = 1e-12
 
+LAYER_NORM_EPS = 1e-5  # added to each row's variance before the square root
+ADAM_BETA1, ADAM_BETA2, ADAM_EPSILON = 0.9, 0.999, 1e-8  # moment decays, denominator guard
+
 
 class ShapeMismatchError(ValueError):
     """Operands disagree on dimensions."""
@@ -91,17 +94,10 @@ class ParamTensor:
 @dataclass(frozen=True)
 class AdamConfig:
     learning_rate: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    epsilon: float = 1e-8
 
     def __post_init__(self):
         if self.learning_rate <= 0:
             raise ValueError("learning_rate must be > 0")
-        if not (0.0 < self.beta1 < 1.0 and 0.0 < self.beta2 < 1.0):
-            raise ValueError("beta1/beta2 must lie in (0, 1)")
-        if self.epsilon <= 0:
-            raise ValueError("epsilon must be > 0")
 
 
 def linear_forward(x: Matrix, weight: ParamTensor, bias: ParamTensor):
@@ -149,18 +145,16 @@ def softmax_rows(logits: Matrix):
     return probs, backward
 
 
-def layer_norm(x: Matrix, gain: ParamTensor, shift: ParamTensor, eps: float = 1e-5):
+def layer_norm(x: Matrix, gain: ParamTensor, shift: ParamTensor):
     """Per-row normalization to mean 0 / variance 1, then affine."""
     d = x.shape[-1]
     if gain.value.shape != (1, d) or shift.value.shape != (1, d):
         raise ShapeMismatchError("gain/shift width must equal x.cols")
-    if eps <= 0:
-        raise ValueError("eps must be > 0")
     # sum / d is what ndarray.mean computes, bitwise, without its overhead.
     mean = x.sum(axis=-1, keepdims=True) / d
     centered = x - mean
     var = (centered * centered).sum(axis=-1, keepdims=True) / d
-    inv_std = 1.0 / np.sqrt(var + eps)
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
     normed = centered * inv_std
     out = normed * gain.value + shift.value
 
@@ -247,12 +241,12 @@ def adam_step(param: ParamTensor, config: AdamConfig) -> ParamTensor:
     param.step_count += 1
     t = param.step_count
     g = param.grad
-    param.adam_m *= config.beta1
-    param.adam_m += (1.0 - config.beta1) * g
-    param.adam_v *= config.beta2
-    param.adam_v += (1.0 - config.beta2) * (g * g)
-    m_hat = param.adam_m / (1.0 - config.beta1 ** t)
-    v_hat = param.adam_v / (1.0 - config.beta2 ** t)
-    param.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + config.epsilon)
+    param.adam_m *= ADAM_BETA1
+    param.adam_m += (1.0 - ADAM_BETA1) * g
+    param.adam_v *= ADAM_BETA2
+    param.adam_v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = param.adam_m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = param.adam_v / (1.0 - ADAM_BETA2 ** t)
+    param.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
     param.grad[:] = 0.0
     return param

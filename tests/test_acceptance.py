@@ -15,7 +15,7 @@ import pytest
 import yaml
 
 from mixroute.cli import EXIT_OK, main as cli_main
-from mixroute.env import FixedHigh, FixedLow, run_episodes
+from mixroute.env import FixedHigh, FixedLow, kl_divergence, run_episodes
 from mixroute.evaluation import BaselineSpec, evaluate, ghc, sweep
 from mixroute.grpo import (
     AnchorSnapshot,
@@ -27,11 +27,10 @@ from mixroute.grpo import (
     train_grpo,
 )
 from mixroute.klst import (
+    EmpiricalCdf,
     KLRecord,
     LabelingConfig,
     collect,
-    empirical_cdf,
-    kl_divergence,
     label_steps,
     predict_labels,
     trajectories_to_records,
@@ -281,7 +280,7 @@ def test_criterion_3_kl_and_labeling_oracles():
         records = [KLRecord(sequence=shared_seq, d_t=float(v), episode=0,
                             t=i + 1, critical=False)
                    for i, v in enumerate(values)]
-        cdf = empirical_cdf(values)
+        cdf = EmpiricalCdf(values)
         ranks = (values[None, :] <= values[:, None]).sum(axis=1) / n
         for tau in (0.78, 0.85, 0.95):
             label_steps(records, cdf, LabelingConfig(tau))

@@ -4,6 +4,7 @@ import hashlib
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 import yaml
 
@@ -15,6 +16,7 @@ from mixroute.cli import (
     main,
 )
 from mixroute.config import ConfigValidationError, load_run_config
+from mixroute.env import FixedHigh, make_policy_pair, run_episodes
 from mixroute.router import load_params
 
 from helpers import write_version1_checkpoint
@@ -114,6 +116,19 @@ def test_calibrate_ok_and_artifacts(tmp_path, capsys):
     assert all(report["checks"].values())
 
 
+def test_calibrate_fixed_high_success_is_a_fixed_high_rollout(tmp_path):
+    """calibrate reads S_high off the klst collection; it must equal the
+    success rate of fixed_high rollouts on the same seeds."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "calibrate"]) == EXIT_OK
+    report = json.loads((out / "calibrate" / "calibration.json").read_text())
+    run = load_run_config(cfg)
+    high = run_episodes(run.env, make_policy_pair(run.env), FixedHigh(),
+                        range(report["episodes"]), master_seed=run.master_seed)
+    assert report["fixed_high_success"] == float(np.mean([t.success for t in high]))
+
+
 def test_calibrate_equal_divergences_is_a_config_error(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out, **{"env.divergence_high": 0.01})
@@ -182,6 +197,42 @@ def test_truncated_upstream_artifact_is_unreadable(tmp_path, capsys, artifact, s
     capsys.readouterr()
     assert main(["--config", str(cfg), stage]) == EXIT_MISSING
     assert str(path) in capsys.readouterr().err
+
+
+def _malformed(manifest, case):
+    """The collect manifest broken in one of the ways a stage must refuse."""
+    entry = manifest["outputs"]["dataset"]
+    if case == "manifest-is-a-list":
+        return [manifest]
+    if case == "entry-is-a-path-string":
+        manifest["outputs"]["dataset"] = entry["path"]
+    elif case == "outputs-is-a-list":
+        manifest["outputs"] = list(manifest["outputs"].values())
+    elif case == "entry-without-path":
+        del entry["path"]
+    elif case == "path-is-an-int":
+        entry["path"] = 7
+    elif case == "entry-without-sha256":
+        del entry["sha256"]
+    return manifest
+
+
+@pytest.mark.parametrize("case", [
+    "entry-is-a-path-string", "manifest-is-a-list", "outputs-is-a-list",
+    "entry-without-path", "path-is-an-int", "entry-without-sha256",
+])
+def test_malformed_upstream_manifest_is_refused(tmp_path, capsys, case):
+    """A manifest that parses but lacks the shape a stage writes exits 4,
+    naming the manifest, before any of its entries is used."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "collect"]) == EXIT_OK
+    path = out / "collect" / "manifest.json"
+    path.write_text(json.dumps(_malformed(json.loads(path.read_text()), case)))
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train-klst"]) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert f"malformed upstream manifest: {path}" in err
 
 
 def _record_sha256(manifest_path, output, path):

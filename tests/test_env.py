@@ -1,9 +1,9 @@
 """CriticalStepWorld semantics, policy-pair construction, embeddings,
 rollout drivers and the remote-policy wire protocol."""
 
+import contextlib
 import dataclasses
 import json
-import socket
 import socketserver
 import threading
 import warnings
@@ -33,8 +33,6 @@ from mixroute.env import (
     rollout,
     rollout_group,
     run_episodes,
-    save_trajectories,
-    load_trajectories,
     step,
 )
 from mixroute import env as env_module
@@ -421,21 +419,6 @@ def test_kl_values_cluster_by_criticality(world, pair):
                 assert s.d_t < 1.5 * world.divergence_low
 
 
-def test_trajectory_jsonl_round_trip(tmp_path, world, pair):
-    trajs = [rollout(world, pair, KlstCollect(), s, master_seed=1) for s in range(3)]
-    path = tmp_path / "trajs.jsonl"
-    save_trajectories(trajs, path)
-    loaded = load_trajectories(path)
-    assert len(loaded) == 3
-    for a, b in zip(trajs, loaded):
-        assert a.episode_seed == b.episode_seed
-        assert a.success == b.success
-        assert a.n_high == b.n_high and a.n_steps == b.n_steps
-        assert [s.action for s in a.steps] == [s.action for s in b.steps]
-        assert [s.d_t for s in a.steps] == [s.d_t for s in b.steps]
-        assert [s.observation for s in a.steps] == [s.observation for s in b.steps]
-
-
 def assert_same_trajectory(a, b):
     """Field by field; embeddings bitwise."""
     assert (a.episode_seed, a.driver, a.success, a.n_high, a.n_steps) == \
@@ -514,53 +497,41 @@ class _NdjsonHandler(socketserver.StreamRequestHandler):
         self.wfile.write(json.dumps(response).encode() + b"\n")
 
 
+@contextlib.contextmanager
 def _serve(make_response):
-    server = socketserver.ThreadingTCPServer(("127.0.0.1", 0), _NdjsonHandler)
-    server.make_response = make_response
-    thread = threading.Thread(target=server.serve_forever, daemon=True)
-    thread.start()
-    return server
+    """A policy server on a free local port, shut down and closed on exit."""
+    with socketserver.ThreadingTCPServer(("127.0.0.1", 0), _NdjsonHandler) as server:
+        server.make_response = make_response
+        thread = threading.Thread(target=server.serve_forever, daemon=True)
+        thread.start()
+        try:
+            yield f"127.0.0.1:{server.server_address[1]}"
+        finally:
+            server.shutdown()
 
 
 def test_remote_policy_uniform_echo(world):
-    server = _serve(lambda n: {"probs": [1.0 / n] * n})
-    try:
-        policy = remote_policy(f"127.0.0.1:{server.server_address[1]}")
-        state = reset(world, 0)
-        dist = policy(state)
-        np.testing.assert_allclose(dist, np.full(6, 1 / 6))
-    finally:
-        server.shutdown()
+    with _serve(lambda n: {"probs": [1.0 / n] * n}) as address:
+        dist = remote_policy(address)(reset(world, 0))
+    np.testing.assert_allclose(dist, np.full(6, 1 / 6))
 
 
 def test_remote_policy_wrong_length(world):
-    server = _serve(lambda n: {"probs": [1.0 / (n - 1)] * (n - 1)})
-    try:
-        policy = remote_policy(f"127.0.0.1:{server.server_address[1]}")
+    with _serve(lambda n: {"probs": [1.0 / (n - 1)] * (n - 1)}) as address:
         with pytest.raises(MalformedResponseError):
-            policy(reset(world, 0))
-    finally:
-        server.shutdown()
+            remote_policy(address)(reset(world, 0))
 
 
 def test_remote_policy_bad_normalization(world):
-    server = _serve(lambda n: {"probs": [1.5 / n] * n})
-    try:
-        policy = remote_policy(f"127.0.0.1:{server.server_address[1]}")
+    with _serve(lambda n: {"probs": [1.5 / n] * n}) as address:
         with pytest.raises(UnnormalizedDistributionError):
-            policy(reset(world, 0))
-    finally:
-        server.shutdown()
+            remote_policy(address)(reset(world, 0))
 
 
 def test_remote_policy_timeout(world):
-    server = _serve(lambda n: None)  # never answers
-    try:
-        policy = remote_policy(f"127.0.0.1:{server.server_address[1]}", timeout=0.2)
+    with _serve(lambda n: None) as address:  # never answers
         with pytest.raises(RemoteTimeoutError):
-            policy(reset(world, 0))
-    finally:
-        server.shutdown()
+            remote_policy(address, timeout=0.2)(reset(world, 0))
 
 
 def test_remote_policy_address_parsing():

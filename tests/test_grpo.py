@@ -170,7 +170,7 @@ def test_grpo_stacked_states_match_per_state_passes():
     params = RouterParams.initialize(TINY, seed=6)
     anchor = AnchorSnapshot(RouterParams.initialize(TINY, seed=7))
     groups = _fixture(seed=8, n_groups=3, traj_per_group=4, max_steps=6)
-    cfg = GRPOConfig(beta=0.05, learning_rate=1e-6, normalize_by_steps=True)
+    cfg = GRPOConfig(beta=0.05, learning_rate=1e-6)
     loss = grpo_loss_and_grads(groups, params, anchor, cfg)
     stacked = [t.grad.copy() for _, t in params.tensors()]
 
@@ -181,7 +181,6 @@ def test_grpo_stacked_states_match_per_state_passes():
     policy = kl = 0.0
     for traj, adv in trajs:
         emb = np.asarray([s.embedding for s in traj.steps])
-        scale = 1.0 / traj.n_steps
         lp = 0.0
         for i, s in enumerate(traj.steps):
             seq = truncate_sequence(StepSequence.of(emb[:i + 1]), TINY.max_len)
@@ -190,11 +189,11 @@ def test_grpo_stacked_states_match_per_state_passes():
             qf = np.maximum(forward_probs(seq, anchor.params)[0], PROB_FLOOR)
             lp += math.log(pf[s.route_choice])
             dprobs = np.zeros_like(probs)
-            dprobs[s.route_choice] = -adv * scale / (len(trajs) * probs[s.route_choice])
+            dprobs[s.route_choice] = -adv / (len(trajs) * probs[s.route_choice])
             kl += float(np.sum(probs * np.log(pf / qf))) / n_states
             dprobs += cfg.beta * (np.log(pf / qf) + 1.0) / n_states
             backward(dprobs)
-        policy += -adv * scale * lp / len(trajs)
+        policy += -adv * lp / len(trajs)
 
     assert (loss.policy_term, loss.kl_penalty) == (policy, kl)
     assert type(loss.policy_term) is float and type(loss.kl_penalty) is float
@@ -367,18 +366,3 @@ def test_train_grpo_solves_each_group_task_once(monkeypatch):
     train_grpo(env, pair, init, GRPOConfig(group_size=8, episode_budget=24, seed=1))
     assert [task.task_id for task in solved] == [
         reset(env, seed).task.task_id for seed in range(3)]
-
-
-def test_normalize_by_steps_flag():
-    params = RouterParams.initialize(TINY, seed=12)
-    anchor = AnchorSnapshot(params)
-    trajs = [make_traj(np.ones((3, 4)), [1, 1, 1], True),
-             make_traj(np.ones((1, 4)), [0], False)]
-    group = TrajectoryGroup(trajs, np.array([1.0, -1.0]), np.array([1.0, -1.0]))
-    plain = grpo_loss_and_grads([group], params, anchor,
-                                GRPOConfig(beta=0.0, normalize_by_steps=False))
-    per_step = grpo_loss_and_grads([group], params, anchor,
-                                   GRPOConfig(beta=0.0, normalize_by_steps=True))
-    # the 3-step trajectory contributes 3x less per decision when normalized
-    assert plain.policy_term != per_step.policy_term
-    params.zero_grads()

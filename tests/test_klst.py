@@ -6,8 +6,9 @@ import numpy as np
 import pytest
 
 from mixroute import klst as klst_module
-from mixroute.env import EnvConfig, PolicyPair, make_policy_pair
+from mixroute.env import EnvConfig, PolicyPair, kl_divergence, make_policy_pair
 from mixroute.klst import (
+    EmpiricalCdf,
     EmptyCollectionError,
     KLRecord,
     KlstTrainConfig,
@@ -16,8 +17,6 @@ from mixroute.klst import (
     build_supervision_dataset,
     class_weights,
     collect,
-    empirical_cdf,
-    kl_divergence,
     label_steps,
     load_dataset,
     predict_labels,
@@ -60,22 +59,22 @@ def test_kl_nonnegative_random():
 
 
 def test_empirical_cdf_rank_definition():
-    cdf = empirical_cdf([1.0, 2.0, 3.0, 4.0])
+    cdf = EmpiricalCdf([1.0, 2.0, 3.0, 4.0])
     assert cdf(1.0) == 0.25
     assert cdf(4.0) == 1.0
     assert cdf(0.5) == 0.0
 
 
 def test_empirical_cdf_ties_share_highest_rank():
-    cdf = empirical_cdf([7.0, 7.0, 7.0])
+    cdf = EmpiricalCdf([7.0, 7.0, 7.0])
     assert cdf(7.0) == 1.0
-    cdf = empirical_cdf([0.0, 0.0, 1.0, 1.0])
+    cdf = EmpiricalCdf([0.0, 0.0, 1.0, 1.0])
     assert cdf(0.0) == 0.5
 
 
 def test_empirical_cdf_rejects_empty():
     with pytest.raises(ValueError):
-        empirical_cdf([])
+        EmpiricalCdf([])
 
 
 def _records_for(values):
@@ -90,20 +89,20 @@ def _records_for(values):
 def test_label_steps_distinct_count():
     values = [float(v) for v in range(1, 101)]
     records = _records_for(values)
-    label_steps(records, empirical_cdf(values), LabelingConfig(0.85))
+    label_steps(records, EmpiricalCdf(values), LabelingConfig(0.85))
     assert sum(r.label for r in records) == 16  # ranks 85..100
 
 
 def test_label_steps_all_ties_label_positive():
     records = _records_for([3.0] * 10)
-    label_steps(records, empirical_cdf([3.0] * 10), LabelingConfig(0.85))
+    label_steps(records, EmpiricalCdf([3.0] * 10), LabelingConfig(0.85))
     assert all(r.label == 1 for r in records)
 
 
 def test_label_steps_tau_near_one():
     values = [float(v) for v in range(10)]
     records = _records_for(values)
-    label_steps(records, empirical_cdf(values), LabelingConfig(0.9999))
+    label_steps(records, EmpiricalCdf(values), LabelingConfig(0.9999))
     assert [r.label for r in records] == [0] * 9 + [1]
 
 
@@ -111,7 +110,7 @@ def test_labeling_monotonicity():
     rng = np.random.default_rng(1)
     values = np.round(rng.exponential(size=200), 2)  # forces ties
     records = _records_for(values)
-    label_steps(records, empirical_cdf(values), LabelingConfig(0.8))
+    label_steps(records, EmpiricalCdf(values), LabelingConfig(0.8))
     for a in records:
         for b in records:
             if a.d_t >= b.d_t:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from mixroute.nn import (
+    ADAM_EPSILON,
     AdamConfig,
     EmptyContextError,
     ParamTensor,
@@ -91,7 +92,7 @@ def test_layer_norm_constant_row():
 def test_layer_norm_closed_form_eps():
     g = ParamTensor.from_value(np.ones((1, 2)))
     s = ParamTensor.zeros(1, 2)
-    out, _ = layer_norm(np.array([[1.0, -1.0]]), g, s, eps=1e-5)
+    out, _ = layer_norm(np.array([[1.0, -1.0]]), g, s)
     expected = 1.0 / math.sqrt(1.0 + 1e-5)
     np.testing.assert_allclose(out, [[expected, -expected]], atol=1e-12)
 
@@ -99,7 +100,7 @@ def test_layer_norm_closed_form_eps():
 def test_layer_norm_affine():
     g = ParamTensor.from_value(2.0 * np.ones((1, 2)))
     s = ParamTensor.from_value(np.ones((1, 2)))
-    out, _ = layer_norm(np.array([[0.0, 2.0]]), g, s, eps=1e-5)
+    out, _ = layer_norm(np.array([[0.0, 2.0]]), g, s)
     unit = 1.0 / math.sqrt(1.0 + 1e-5)
     np.testing.assert_allclose(out, [[1.0 - 2.0 * unit, 1.0 + 2.0 * unit]], atol=1e-12)
 
@@ -221,7 +222,7 @@ def test_adam_first_step_magnitude():
     p.grad[:] = g
     adam_step(p, cfg)
     # first step: lr * g / (|g| + eps) up to bias-correction rounding
-    expected = cfg.learning_rate * g / (abs(g) + cfg.epsilon)
+    expected = cfg.learning_rate * g / (abs(g) + ADAM_EPSILON)
     np.testing.assert_allclose(3.0 - p.value[0, 0], expected, rtol=1e-9)
     assert p.step_count == 1
     np.testing.assert_array_equal(p.grad, 0.0)
