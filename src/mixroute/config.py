@@ -108,6 +108,18 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
+class _NotAnInteger(ValueError):
+    """A value that an integer key does not accept; the message names the key."""
+
+
+def _integer(key: str, value) -> int:
+    """``value`` if it is an int and not a bool. ``int()`` would parse
+    strings and truncate floats, and a bool is an int subclass."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise _NotAnInteger(f"{key} must be an integer, got {value!r}")
+    return value
+
+
 def _merge(base: dict, override: dict, path: str, violations: list[str]) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -133,6 +145,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             loaded = yaml.safe_load(Path(path).read_text(encoding="utf-8"))
         except FileNotFoundError:
             raise ConfigValidationError([f"config file not found: {path}"])
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigValidationError([f"config file cannot be read: {path}: {exc}"])
         except yaml.YAMLError as exc:
             raise ConfigValidationError([f"config file is not valid YAML: {exc}"])
         if loaded is None:
@@ -155,49 +169,54 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     def build(name, fn):
         try:
             return fn()
+        except _NotAnInteger as exc:
+            violations.append(str(exc))
         except (ValueError, TypeError) as exc:
             violations.append(f"{name}: {exc}")
-            return None
+        return None
 
+    seed = build("seed", lambda: _integer("seed", resolved["seed"]))
+    workers = build("workers", lambda: _integer("workers", resolved["workers"]))
+    output_dir = build("output_dir", lambda: Path(resolved["output_dir"]))
     e = resolved["env"]
     env = build("env", lambda: EnvConfig(
-        horizon=int(e["horizon"]),
-        action_space=ActionSpace(int(e["actions"])),
-        critical_steps=(frozenset(int(t) for t in e["critical_steps"])
+        horizon=_integer("env.horizon", e["horizon"]),
+        action_space=ActionSpace(_integer("env.actions", e["actions"])),
+        critical_steps=(frozenset(_integer(f"env.critical_steps[{i}]", t)
+                                  for i, t in enumerate(e["critical_steps"]))
                         if e["critical_steps"] else None),
-        n_critical=int(e["n_critical"]),
-        n_correct_paths=int(e["n_correct_paths"]),
+        n_critical=_integer("env.n_critical", e["n_critical"]),
+        n_correct_paths=_integer("env.n_correct_paths", e["n_correct_paths"]),
         divergence_low=float(e["divergence_low"]),
         divergence_high=float(e["divergence_high"]),
-        seed=int(e["seed"]),
+        seed=_integer("env.seed", e["seed"]),
     ))
     r = resolved["router"]
     router = build("router", lambda: RouterConfig(
-        embed_dim=int(r["embed_dim"]),
-        num_layers=int(r["num_layers"]),
-        num_heads=int(r["num_heads"]),
-        ffn_dim=int(r["ffn_dim"]),
-        num_precisions=int(r["num_precisions"]),
-        max_len=int(r["max_len"]),
+        **{key: _integer(f"router.{key}", r[key])
+           for key in ("embed_dim", "num_layers", "num_heads", "ffn_dim",
+                       "num_precisions", "max_len")}
     ))
     k = resolved["klst"]
     labeling = build("klst.tau", lambda: LabelingConfig(threshold=float(k["tau"])))
     klst_train = build("klst", lambda: KlstTrainConfig(
-        epochs=int(k["epochs"]),
-        batch_size=int(k["batch_size"]),
+        epochs=_integer("klst.epochs", k["epochs"]),
+        batch_size=_integer("klst.batch_size", k["batch_size"]),
         learning_rate=float(k["learning_rate"]),
-        seed=int(resolved["seed"]),
+        seed=seed,
         select_by=str(k["select_by"]),
     ))
-    if int(k["episodes"]) < 1:
+    collect_episodes = build("klst.episodes",
+                             lambda: _integer("klst.episodes", k["episodes"]))
+    if collect_episodes is not None and collect_episodes < 1:
         violations.append("klst.episodes must be >= 1")
     g = resolved["grpo"]
     grpo_cfg = build("grpo", lambda: GRPOConfig(
-        group_size=int(g["group_size"]),
+        group_size=_integer("grpo.group_size", g["group_size"]),
         beta=float(g["beta"]),
         learning_rate=float(g["learning_rate"]) * float(g["lr_scale"]),
-        episode_budget=int(g["episode_budget"]),
-        seed=int(resolved["seed"]),
+        episode_budget=_integer("grpo.episode_budget", g["episode_budget"]),
+        seed=seed,
     ))
     reward = build("grpo costs", lambda: RewardConfig(
         lambda_high=float(g["lambda_high"]),
@@ -205,8 +224,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     ))
     ev = resolved["eval"]
     eval_section = build("eval", lambda: EvalSection(
-        episodes=int(ev["episodes"]),
-        episode_seed_start=int(ev["episode_seed_start"]),
+        episodes=_integer("eval.episodes", ev["episodes"]),
+        episode_seed_start=_integer("eval.episode_seed_start", ev["episode_seed_start"]),
         random_ps=[float(p) for p in ev["random_ps"]],
         mode=str(ev["mode"]),
     ))
@@ -224,23 +243,23 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             "router.num_precisions must be 2: the synthetic world provides "
             "exactly one low/high policy pair"
         )
-    if int(resolved["workers"]) < 1:
+    if workers is not None and workers < 1:
         violations.append("workers must be >= 1")
-    if int(resolved["seed"]) < 0:
+    if seed is not None and seed < 0:
         violations.append("seed must be >= 0")
 
     if violations:
         raise ConfigValidationError(violations)
 
     return RunConfig(
-        master_seed=int(resolved["seed"]),
-        output_dir=Path(resolved["output_dir"]),
-        workers=int(resolved["workers"]),
+        master_seed=seed,
+        output_dir=output_dir,
+        workers=workers,
         env=env,
         router=router,
         labeling=labeling,
         klst_train=klst_train,
-        collect_episodes=int(k["episodes"]),
+        collect_episodes=collect_episodes,
         grpo=grpo_cfg,
         reward=reward,
         grpo_lr_scale=float(g["lr_scale"]),

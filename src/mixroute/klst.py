@@ -161,7 +161,7 @@ def save_dataset(dataset: SupervisionDataset, path, cdf_path) -> None:
                 "episode": r.episode,
                 "t": r.t,
                 "embedding": [float(v) for v in r.sequence.embeddings[-1]],
-                "mask_len": r.sequence.n_valid,
+                "mask_len": r.sequence.length,
                 "D": r.d_t,
                 "y": r.label,
                 "crit": r.critical,

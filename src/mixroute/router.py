@@ -1,9 +1,9 @@
 """Step-level precision router.
 
 A 2-layer post-norm Transformer encoder over step embeddings with learned
-absolute positional embeddings, masked self-attention, last-valid-token
-pooling and a K-way softmax head. Index 0 is the cheap (low-precision)
-policy, index 1 the expensive (high-precision) one.
+absolute positional embeddings, self-attention, last-token pooling and a
+K-way softmax head. Index 0 is the cheap (low-precision) policy, index 1
+the expensive (high-precision) one.
 
 route() against a params snapshot that nobody is training is safe to call
 from many workers at once; training (backward + adam_step) is single-writer.
@@ -30,7 +30,7 @@ from .nn import (
 
 
 class EmptySequenceError(ValueError):
-    """A StepSequence (or mask) with zero valid steps."""
+    """A StepSequence with zero rows."""
 
 
 class CheckpointError(RuntimeError):
@@ -80,35 +80,22 @@ class RouterConfig:
 
 @dataclass
 class StepSequence:
-    """Ordered step embeddings plus a validity mask (prefix of ones)."""
+    """The ordered step embeddings of an interaction history, oldest first."""
 
-    embeddings: Matrix  # (t, d)
-    mask: np.ndarray    # (t,) of {0, 1}
+    embeddings: Matrix  # (t, d), t >= 1
 
     def __post_init__(self):
         self.embeddings = as_matrix(self.embeddings)
-        self.mask = np.asarray(self.mask, dtype=np.uint8).reshape(-1)
-        t = self.embeddings.shape[0]
-        if self.mask.shape[0] != t:
-            raise ShapeMismatchError("mask length must equal number of rows")
-        n = int(self.mask.sum())
-        if n == 0:
-            raise EmptySequenceError("a StepSequence needs at least one valid step")
-        if not (self.mask[:n] == 1).all() or (n < t and self.mask[n:].any()):
-            raise ValueError("mask must be a prefix of ones followed by zeros")
+        if self.embeddings.shape[0] == 0:
+            raise EmptySequenceError("a StepSequence needs at least one step")
 
     @classmethod
     def of(cls, embeddings) -> "StepSequence":
-        emb = as_matrix(embeddings)
-        return cls(emb, np.ones(emb.shape[0], dtype=np.uint8))
+        return cls(embeddings)
 
     @property
     def length(self) -> int:
         return self.embeddings.shape[0]
-
-    @property
-    def n_valid(self) -> int:
-        return int(self.mask.sum())
 
 
 @dataclass
@@ -202,40 +189,36 @@ class RoutingDistribution:
 
 def prefix_sequences(embeddings) -> list[StepSequence]:
     """The n step-states of an episode's (n, d) embedding matrix: sequence i
-    holds rows 0..i. Every prefix is a view of the one matrix and one mask."""
+    holds rows 0..i. Every prefix is a view of the one matrix."""
     emb = as_matrix(embeddings)
-    ones = np.ones(emb.shape[0], dtype=np.uint8)
-    return [StepSequence(emb[:i + 1], ones[:i + 1]) for i in range(emb.shape[0])]
+    return [StepSequence(emb[:i + 1]) for i in range(emb.shape[0])]
 
 
 def shape_stacks(seqs) -> list[list[int]]:
-    """Indices of ``seqs`` grouped by (length, n_valid), groups and the
-    indices within them in first-seen order. Every group is one stack for
+    """Indices of ``seqs`` grouped by length, groups and the indices within
+    them in first-seen order. Every group is one stack for
     ``forward_probs_batch``: no padding, so each row stays bitwise equal to
     its own ``forward_probs``."""
-    stacks: dict[tuple[int, int], list[int]] = {}
+    stacks: dict[int, list[int]] = {}
     for i, seq in enumerate(seqs):
-        stacks.setdefault((seq.length, seq.n_valid), []).append(i)
+        stacks.setdefault(seq.length, []).append(i)
     return list(stacks.values())
 
 
 def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
-    """Keep the most recent ``max_len`` valid steps; drop padding if cutting."""
+    """Keep the most recent ``max_len`` steps."""
     if seq.length <= max_len:
         return seq
-    n = seq.n_valid
-    kept = seq.embeddings[:n][max(0, n - max_len):]
-    return StepSequence(kept, np.ones(kept.shape[0], dtype=np.uint8))
+    return StepSequence(seq.embeddings[-max_len:])
 
 
-def _add_positions(x, n: int, params: RouterParams):
-    """Add P[i] to row i < n of every matrix in ``x`` (one matrix or a stack)."""
-    out = x.copy()
-    out[..., :n, :] += params.positional.value[:n]
+def _add_positions(x, params: RouterParams):
+    """Add P[i] to row i of every (t, d) matrix in ``x`` (one matrix or a stack)."""
+    t, d = x.shape[-2:]
+    out = x + params.positional.value[:t]
 
     def backward(grad_out):
-        valid_rows = grad_out[..., :n, :]
-        params.positional.grad[:n] += valid_rows.reshape(-1, n, out.shape[-1]).sum(axis=0)
+        params.positional.grad[:t] += grad_out.reshape(-1, t, d).sum(axis=0)
         return grad_out
 
     return out, backward
@@ -261,8 +244,8 @@ def _merge_heads(m):
     return m.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _layer_forward(x, valid: np.ndarray, lp: EncoderLayerParams, num_heads: int):
-    """One encoder layer over a (B, t, d) stack sharing the key mask ``valid``.
+def _layer_forward(x, lp: EncoderLayerParams, num_heads: int):
+    """One encoder layer over a (B, t, d) stack; every step attends to all t.
 
     All heads attend in one call; each head reads and writes the same
     strided columns a per-head slice would.
@@ -270,8 +253,9 @@ def _layer_forward(x, valid: np.ndarray, lp: EncoderLayerParams, num_heads: int)
     q, bw_q = linear_forward(x, lp.wq, lp.bq)
     k, bw_k = linear_forward(x, lp.wk, lp.bk)
     v, bw_v = linear_forward(x, lp.wv, lp.bv)
+    every_key = np.ones(x.shape[-2], dtype=bool)
     heads, bw_heads = masked_attention(_split_heads(q, num_heads), _split_heads(k, num_heads),
-                                       _split_heads(v, num_heads), valid)
+                                       _split_heads(v, num_heads), every_key)
     attn, bw_o = linear_forward(_merge_heads(heads), lp.wo, lp.bo)
 
     resid1 = x + attn
@@ -294,15 +278,11 @@ def _layer_forward(x, valid: np.ndarray, lp: EncoderLayerParams, num_heads: int)
     return out, backward
 
 
-def _encode_stack(x, valid: np.ndarray, params: RouterParams):
-    """N encoder layers over a (B, t, d) stack of position-augmented inputs.
-
-    Rows that ``valid`` masks out never influence the hidden states of the
-    valid rows.
-    """
+def _encode_stack(x, params: RouterParams):
+    """N encoder layers over a (B, t, d) stack of position-augmented inputs."""
     stack = []
     for lp in params.layers:
-        x, bw = _layer_forward(x, valid, lp, params.config.num_heads)
+        x, bw = _layer_forward(x, lp, params.config.num_heads)
         stack.append(bw)
 
     def backward(grad):
@@ -314,7 +294,7 @@ def _encode_stack(x, valid: np.ndarray, params: RouterParams):
 
 
 def forward_probs_batch(seqs, params: RouterParams):
-    """Router forward over sequences of one length and one mask, as a stack.
+    """Router forward over sequences of one length, as a stack.
 
     Returns probs of shape (B, K), row b bitwise equal to
     ``forward_probs(seqs[b], params)``, and ``backward(dprobs)`` taking a
@@ -324,22 +304,20 @@ def forward_probs_batch(seqs, params: RouterParams):
     seqs = [truncate_sequence(s, params.config.max_len) for s in seqs]
     if not seqs:
         raise ValueError("forward_probs_batch needs at least one sequence")
-    mask = seqs[0].mask
     for s in seqs:
         _check_dim(s, params)
-        if not np.array_equal(s.mask, mask):
-            raise ShapeMismatchError("a batch needs one sequence length and one mask")
-    n = seqs[0].n_valid
-    x, bw_pos = _add_positions(np.stack([s.embeddings for s in seqs]), n, params)
-    hidden, bw_enc = _encode_stack(x, mask.astype(bool), params)
-    pooled = hidden[:, n - 1:n, :]  # (B, 1, d): the head runs per sequence
+        if s.length != seqs[0].length:
+            raise ShapeMismatchError("a batch needs one sequence length")
+    x, bw_pos = _add_positions(np.stack([s.embeddings for s in seqs]), params)
+    hidden, bw_enc = _encode_stack(x, params)
+    pooled = hidden[:, -1:, :]  # (B, 1, d): the head runs per sequence
     logits, bw_head = linear_forward(pooled, params.head_weight, params.head_bias)
     probs, bw_soft = softmax_rows(logits)
 
     def backward(dprobs) -> None:
         dp = np.asarray(dprobs, dtype=np.float64).reshape(probs.shape)
         d_hidden = np.zeros_like(hidden)
-        d_hidden[:, n - 1:n, :] = bw_head(bw_soft(dp))
+        d_hidden[:, -1:, :] = bw_head(bw_soft(dp))
         bw_pos(bw_enc(d_hidden))
 
     return probs[:, 0, :], backward

@@ -106,6 +106,45 @@ def test_invalid_config_exits_2_without_artifacts(tmp_path):
     assert not out.exists()  # validate-then-run: nothing written
 
 
+def _tweaked_config(key, value):
+    return lambda tmp_path, out: (write_config(tmp_path, out, **{key: value}), key)
+
+
+def _directory_config(tmp_path, out):
+    path = tmp_path / "config.d"
+    path.mkdir()
+    return path, str(path)
+
+
+def _latin1_config(tmp_path, out):
+    path = tmp_path / "config.yaml"
+    path.write_bytes(f"output_dir: {out}\n# caf\xe9\n".encode("latin-1"))
+    return path, str(path)
+
+
+@pytest.mark.parametrize("make_config", [
+    _tweaked_config("klst.episodes", "abc"),
+    _tweaked_config("workers", "two"),
+    _tweaked_config("seed", "x"),
+    _tweaked_config("klst.episodes", 2.7),
+    _tweaked_config("router.embed_dim", 8.9),
+    _tweaked_config("eval.episodes", True),
+    _directory_config,
+    _latin1_config,
+    _tweaked_config("output_dir", 5),
+], ids=["str-episodes", "str-workers", "str-seed", "float-episodes", "float-embed-dim",
+        "bool-eval-episodes", "directory", "not-utf8", "int-output-dir"])
+def test_unusable_config_exits_2_naming_it(tmp_path, capsys, make_config):
+    """A value an integer key cannot take as it stands, an output_dir that is
+    not a path, or a config file that cannot be read, is a config error
+    naming the key or the file; nothing is converted, truncated or run."""
+    out = tmp_path / "out"
+    cfg, named = make_config(tmp_path, out)
+    assert main(["--config", str(cfg), "calibrate"]) == EXIT_CONFIG
+    assert named in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_calibrate_ok_and_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out, **{"klst.episodes": 60})

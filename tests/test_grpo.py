@@ -201,6 +201,31 @@ def test_grpo_stacked_states_match_per_state_passes():
         np.testing.assert_allclose(expected, t.grad, rtol=1e-10, atol=1e-15, err_msg=name)
 
 
+@pytest.mark.parametrize("max_len", [16, 4])
+def test_decision_sequences_are_the_routed_sequences(max_len):
+    """GRPO re-scores each step on the sequence the rollout routed it on: a
+    greedy rollout's choice is the argmax over ``_decision_sequences``, with
+    a max_len beyond the horizon of 12 and one that truncates."""
+    from mixroute.env import RouterDriver
+    from mixroute.router import forward_probs
+
+    env = EnvConfig()
+    params = RouterParams.initialize(
+        RouterConfig(embed_dim=8, num_heads=2, ffn_dim=16, max_len=max_len), seed=1)
+    pair = make_policy_pair(env)
+    choices = set()
+    for seed in range(6):
+        traj = rollout(env, pair, RouterDriver(params, mode="greedy"), seed, embed_dim=8)
+        decisions = grpo_module._decision_sequences(traj, max_len)
+        assert len(decisions) == traj.n_steps
+        for i, ((seq, choice), s) in enumerate(zip(decisions, traj.steps)):
+            assert seq.length == min(i + 1, max_len)
+            np.testing.assert_array_equal(seq.embeddings[-1], s.embedding)
+            assert choice == s.route_choice == int(np.argmax(forward_probs(seq, params)[0]))
+            choices.add(choice)
+    assert choices == {0, 1}  # both precisions are chosen, so the argmax is tested
+
+
 def test_grpo_full_loss_gradient_matches_finite_differences():
     """Frozen mini-fixture: 2 groups x 2 trajectories x <= 3 steps."""
     params = RouterParams.initialize(TINY, seed=4)

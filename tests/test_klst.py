@@ -290,7 +290,7 @@ def test_dataset_round_trip(tmp_path):
         assert (a.episode, a.t, a.label, a.critical) == (b.episode, b.t, b.label, b.critical)
         assert a.d_t == b.d_t  # repr round-trip is value-exact
         assert (a.sequence.embeddings == b.sequence.embeddings).all()
-        assert a.sequence.n_valid == b.sequence.n_valid
+        assert a.sequence.length == b.sequence.length
     assert cdf_path.exists()
 
 
@@ -314,7 +314,7 @@ def test_records_prefix_structure():
     for recs in by_episode.values():
         recs.sort(key=lambda r: r.t)
         for i, r in enumerate(recs):
-            assert r.sequence.n_valid == i + 1
+            assert r.sequence.length == i + 1
             np.testing.assert_array_equal(
                 r.sequence.embeddings[-1], recs[-1].sequence.embeddings[i]
             )
@@ -343,19 +343,11 @@ def collected_dataset():
     return build_supervision_dataset(kept, LabelingConfig(0.85))
 
 
-def _padded_separable_dataset():
-    """Separable records, every third one padded with two zero rows; under a
-    router whose max_len of 4 truncates the longer ones."""
-    dataset = _separable_dataset(n_episodes=40)
-    for r in dataset.records[::3]:
-        emb = np.vstack([r.sequence.embeddings, np.zeros((2, 16))])
-        r.sequence = StepSequence(emb, np.r_[r.sequence.mask, 0, 0])
-    return dataset
-
-
 def _cases(collected):
+    """The collected records under the default router, and separable records
+    under a router whose max_len of 4 truncates the longer prefixes."""
     return [(collected, RouterConfig()),
-            (_padded_separable_dataset(),
+            (_separable_dataset(n_episodes=40),
              RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_len=4))]
 
 

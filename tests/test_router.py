@@ -1,4 +1,4 @@
-"""Router: positions, masking, pooling, routing head, checkpoints."""
+"""Router: positions, pooling, routing head, checkpoints."""
 
 import math
 
@@ -35,38 +35,34 @@ def params():
     return RouterParams.initialize(SMALL, seed=0)
 
 
-def seq_of(rows, mask=None):
-    rows = np.asarray(rows, dtype=np.float64)
-    if mask is None:
-        mask = np.ones(rows.shape[0], dtype=np.uint8)
-    return StepSequence(rows, mask)
+def seq_of(rows):
+    return StepSequence(np.asarray(rows, dtype=np.float64))
 
 
 def hidden_states(seq, params):
     """Encoder output for one sequence, computed as forward_probs_batch does:
     truncated, position-augmented and encoded as a stack of one."""
     seq = truncate_sequence(seq, params.config.max_len)
-    x, _ = _add_positions(seq.embeddings[None], seq.n_valid, params)
-    h, _ = _encode_stack(x, seq.mask.astype(bool), params)
+    x, _ = _add_positions(seq.embeddings[None], params)
+    h, _ = _encode_stack(x, params)
     return h[0]
 
 
 def test_step_sequence_rejects_bad_masks():
+    """A sequence without rows has no step to route."""
     with pytest.raises(EmptySequenceError):
-        StepSequence(np.zeros((2, 8)), [0, 0])
-    with pytest.raises(ValueError):
-        StepSequence(np.zeros((3, 8)), [1, 0, 1])  # not a prefix
+        StepSequence(np.zeros((0, 8)))
 
 
 def test_add_positions_zero_positions(params):
     params.positional.value[:] = 0.0
     x = np.random.default_rng(0).normal(size=(4, 8))
-    out, _ = _add_positions(x, 4, params)
+    out, _ = _add_positions(x, params)
     np.testing.assert_array_equal(out, x)
 
 
 def test_add_positions_zero_input(params):
-    out, _ = _add_positions(np.zeros((3, 8)), 3, params)
+    out, _ = _add_positions(np.zeros((3, 8)), params)
     np.testing.assert_array_equal(out, params.positional.value[:3])
 
 
@@ -75,16 +71,9 @@ def test_add_positions_truncates_oldest_first(params):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(SMALL.max_len + 3, 8))
     seq = truncate_sequence(seq_of(x), SMALL.max_len)
-    out, _ = _add_positions(seq.embeddings, seq.n_valid, params)
+    out, _ = _add_positions(seq.embeddings, params)
     assert out.shape == (SMALL.max_len, 8)
     np.testing.assert_array_equal(out, x[3:] + params.positional.value)
-
-
-def test_add_positions_skips_padded_rows(params):
-    x = np.random.default_rng(2).normal(size=(4, 8))
-    out, _ = _add_positions(x, 2, params)
-    np.testing.assert_array_equal(out[2:], x[2:])  # padding passes through
-    np.testing.assert_array_equal(out[:2], x[:2] + params.positional.value[:2])
 
 
 def test_truncation_consistency(params):
@@ -93,34 +82,6 @@ def test_truncation_consistency(params):
     full = route(seq_of(x), params)
     suffix = route(seq_of(x[4:]), params)
     np.testing.assert_array_equal(full.probs, suffix.probs)
-
-
-def test_encode_mask_isolation_single_row(params):
-    rng = np.random.default_rng(4)
-    row = rng.normal(size=(1, 8))
-    h1 = hidden_states(seq_of(row), params)
-    padded = np.vstack([row, rng.normal(size=(4, 8))])
-    h5 = hidden_states(seq_of(padded, [1, 0, 0, 0, 0]), params)
-    # different sequence lengths take different BLAS kernel paths, so the
-    # comparison across shapes is value-exact only up to last-ulp rounding;
-    # the same-shape garbage-mutation checks below are bitwise
-    np.testing.assert_allclose(h1[0], h5[0], rtol=0, atol=1e-12)
-    p1, _ = forward_probs(seq_of(row), params)
-    p5, _ = forward_probs(seq_of(padded, [1, 0, 0, 0, 0]), params)
-    np.testing.assert_allclose(p1, p5, rtol=0, atol=1e-12)
-
-
-def test_encode_padded_perturbation_is_invisible(params):
-    rng = np.random.default_rng(5)
-    x = rng.normal(size=(5, 8))
-    mask = [1, 1, 1, 0, 0]
-    h_a = hidden_states(seq_of(x, mask), params)
-    x2 = x.copy()
-    x2[3:] = 1e6 * rng.normal(size=(2, 8))
-    h_b = hidden_states(seq_of(x2, mask), params)
-    assert (h_a[:3] == h_b[:3]).all()
-    probs, _ = forward_probs_batch([seq_of(x, mask), seq_of(x2, mask)], params)
-    assert (probs[0] == probs[1]).all()
 
 
 def test_encode_outputs_finite_and_bounded():
@@ -133,30 +94,16 @@ def test_encode_outputs_finite_and_bounded():
         assert np.linalg.norm(h) <= 10.0 * max(np.linalg.norm(x), 1.0)
 
 
-def test_route_mask_isolation(params):
-    rng = np.random.default_rng(6)
-    x = rng.normal(size=(4, 8))
-    mask = [1, 1, 0, 0]
-    base = route(seq_of(x, mask), params)
-    x2 = x.copy()
-    x2[2:] = rng.normal(size=(2, 8)) * 1e3
-    again = route(seq_of(x2, mask), params)
-    assert (base.probs == again.probs).all()
-
-
 def test_pool_last_valid(params):
-    """The head reads the hidden state of the most recent valid step."""
+    """The head reads the hidden state of the most recent step."""
     x = np.random.default_rng(7).normal(size=(5, 8))
-    for rows, mask in ((x, [1, 1, 1, 0, 0]), (x, [1] * 5), (x[:1], [1])):
-        seq = seq_of(rows, mask)
+    for rows in (x, x[:3], x[:1]):
+        seq = seq_of(rows)
         h = hidden_states(seq, params)
-        logits, _ = linear_forward(h[seq.n_valid - 1:seq.n_valid],
-                                   params.head_weight, params.head_bias)
+        logits, _ = linear_forward(h[-1:], params.head_weight, params.head_bias)
         expected, _ = softmax_rows(logits)
         probs, _ = forward_probs(seq, params)
         np.testing.assert_array_equal(probs, expected[0])
-    with pytest.raises(EmptySequenceError):
-        seq_of(x, [0, 0, 0, 0, 0])
 
 
 def test_route_greedy_tie_breaks_to_cheap(params):
@@ -296,7 +243,7 @@ def test_copy_is_bitwise_and_shares_no_buffer(params):
 
 
 def test_truncate_sequence_noop_within_limit():
-    seq = seq_of(np.ones((3, 8)), [1, 1, 0])
+    seq = seq_of(np.ones((3, 8)))
     assert truncate_sequence(seq, 6) is seq
 
 
@@ -309,11 +256,10 @@ def test_forward_probs_deterministic(params):
 
 def test_forward_probs_batch_matches_single_sequences(params):
     """Rows equal forward_probs bitwise; the gradient is the per-sequence sum,
-    for full and padded masks and for sequences cut to max_len."""
+    for sequences within max_len and sequences cut to it."""
     rng = np.random.default_rng(12)
-    for length, n_valid in ((1, 1), (4, 4), (5, 2), (9, 9)):
-        mask = [1] * n_valid + [0] * (length - n_valid)
-        seqs = [seq_of(rng.normal(size=(length, 8)), mask) for _ in range(3)]
+    for length in (1, 4, 9):
+        seqs = [seq_of(rng.normal(size=(length, 8))) for _ in range(3)]
         dprobs = rng.normal(size=(3, SMALL.num_precisions))
         params.zero_grads()
         rows = []
@@ -334,9 +280,6 @@ def test_forward_probs_batch_matches_single_sequences(params):
 def test_forward_probs_batch_needs_one_shape(params):
     with pytest.raises(ShapeMismatchError):
         forward_probs_batch([seq_of(np.ones((2, 8))), seq_of(np.ones((3, 8)))], params)
-    with pytest.raises(ShapeMismatchError):
-        forward_probs_batch([seq_of(np.ones((3, 8))), seq_of(np.ones((3, 8)), [1, 1, 0])],
-                            params)
     with pytest.raises(ShapeMismatchError):
         forward_probs_batch([seq_of(np.ones((3, 5)))], params)
     with pytest.raises(ValueError):
