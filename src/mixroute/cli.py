@@ -23,7 +23,7 @@ import numpy as np
 
 from . import evaluation, grpo, klst
 from .config import ConfigValidationError, RunConfig, load_run_config
-from .env import FixedLow, make_policy_pair, run_episodes
+from .env import FixedLow, KlstCollect, make_policy_pair, run_drivers
 from .evaluation import BaselineSpec, sweep
 from .router import CheckpointError, RouterParams, load_params, save_params
 
@@ -137,12 +137,13 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     pair = make_policy_pair(cfg.env)
     n = cfg.collect_episodes
 
-    low = run_episodes(cfg.env, pair, FixedLow(), range(n), master_seed=cfg.master_seed,
-                       workers=cfg.workers)
-    # klst collection rolls out exactly the fixed_high episodes and keeps the
-    # successful ones, so its count is fixed_high's success count.
-    collected, stats = klst.collect(cfg.env, pair, n, master_seed=cfg.master_seed,
-                                    embed_dim=cfg.router.embed_dim, workers=cfg.workers)
+    # One reset per seed serves its fixed_low episode and its klst collection
+    # episode. klst collection rolls out exactly the fixed_high episodes and
+    # keeps the successful ones, so its count is fixed_high's success count.
+    low, collection = run_drivers(cfg.env, pair, [FixedLow(), KlstCollect()], range(n),
+                                  master_seed=cfg.master_seed,
+                                  embed_dim=cfg.router.embed_dim, workers=cfg.workers)
+    collected, stats = klst.keep_successful(collection)
     d_values = np.sort(np.asarray(
         [s.d_t for traj in collected for s in traj.steps], dtype=np.float64
     ))

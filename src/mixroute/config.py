@@ -11,6 +11,7 @@ from __future__ import annotations
 import copy
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -108,16 +109,31 @@ class RunConfig:
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
-class _NotAnInteger(ValueError):
-    """A value that an integer key does not accept; the message names the key."""
+class _UnusableValue(ValueError):
+    """A value that a key does not accept; the message names the key."""
 
 
 def _integer(key: str, value) -> int:
     """``value`` if it is an int and not a bool. ``int()`` would parse
     strings and truncate floats, and a bool is an int subclass."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise _NotAnInteger(f"{key} must be an integer, got {value!r}")
+        raise _UnusableValue(f"{key} must be an integer, got {value!r}")
     return value
+
+
+def _real(key: str, value) -> float:
+    """``value`` as a finite float. It may be an int, a float or a numeric
+    string (PyYAML reads ``1e-4``, an exponent without a dot, as a string),
+    but not a bool, which ``float()`` would take as 0 or 1."""
+    number = None
+    if not isinstance(value, bool) and isinstance(value, (int, float, str)):
+        try:
+            number = float(value)
+        except (ValueError, OverflowError):
+            pass
+    if number is None or not math.isfinite(number):
+        raise _UnusableValue(f"{key} must be a finite number, got {value!r}")
+    return number
 
 
 def _merge(base: dict, override: dict, path: str, violations: list[str]) -> dict:
@@ -169,7 +185,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     def build(name, fn):
         try:
             return fn()
-        except _NotAnInteger as exc:
+        except _UnusableValue as exc:
             violations.append(str(exc))
         except (ValueError, TypeError) as exc:
             violations.append(f"{name}: {exc}")
@@ -187,8 +203,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
                         if e["critical_steps"] else None),
         n_critical=_integer("env.n_critical", e["n_critical"]),
         n_correct_paths=_integer("env.n_correct_paths", e["n_correct_paths"]),
-        divergence_low=float(e["divergence_low"]),
-        divergence_high=float(e["divergence_high"]),
+        divergence_low=_real("env.divergence_low", e["divergence_low"]),
+        divergence_high=_real("env.divergence_high", e["divergence_high"]),
         seed=_integer("env.seed", e["seed"]),
     ))
     r = resolved["router"]
@@ -198,11 +214,11 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
                        "num_precisions", "max_len")}
     ))
     k = resolved["klst"]
-    labeling = build("klst.tau", lambda: LabelingConfig(threshold=float(k["tau"])))
+    labeling = build("klst.tau", lambda: LabelingConfig(threshold=_real("klst.tau", k["tau"])))
     klst_train = build("klst", lambda: KlstTrainConfig(
         epochs=_integer("klst.epochs", k["epochs"]),
         batch_size=_integer("klst.batch_size", k["batch_size"]),
-        learning_rate=float(k["learning_rate"]),
+        learning_rate=_real("klst.learning_rate", k["learning_rate"]),
         seed=seed,
         select_by=str(k["select_by"]),
     ))
@@ -213,25 +229,28 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     g = resolved["grpo"]
     grpo_cfg = build("grpo", lambda: GRPOConfig(
         group_size=_integer("grpo.group_size", g["group_size"]),
-        beta=float(g["beta"]),
-        learning_rate=float(g["learning_rate"]) * float(g["lr_scale"]),
+        beta=_real("grpo.beta", g["beta"]),
+        learning_rate=(_real("grpo.learning_rate", g["learning_rate"])
+                       * _real("grpo.lr_scale", g["lr_scale"])),
         episode_budget=_integer("grpo.episode_budget", g["episode_budget"]),
         seed=seed,
     ))
     reward = build("grpo costs", lambda: RewardConfig(
-        lambda_high=float(g["lambda_high"]),
-        lambda_step=float(g["lambda_step"]),
+        lambda_high=_real("grpo.lambda_high", g["lambda_high"]),
+        lambda_step=_real("grpo.lambda_step", g["lambda_step"]),
     ))
     ev = resolved["eval"]
     eval_section = build("eval", lambda: EvalSection(
         episodes=_integer("eval.episodes", ev["episodes"]),
         episode_seed_start=_integer("eval.episode_seed_start", ev["episode_seed_start"]),
-        random_ps=[float(p) for p in ev["random_ps"]],
+        random_ps=[_real(f"eval.random_ps[{i}]", p) for i, p in enumerate(ev["random_ps"])],
         mode=str(ev["mode"]),
     ))
     if eval_section is not None:
         if eval_section.episodes < 1:
             violations.append("eval.episodes must be >= 1")
+        if eval_section.episode_seed_start < 0:
+            violations.append("eval.episode_seed_start must be >= 0")
         if eval_section.mode not in ("greedy", "sampled"):
             violations.append("eval.mode must be greedy or sampled")
         if any(not 0.0 <= p <= 1.0 for p in eval_section.random_ps):
@@ -262,7 +281,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         collect_episodes=collect_episodes,
         grpo=grpo_cfg,
         reward=reward,
-        grpo_lr_scale=float(g["lr_scale"]),
+        grpo_lr_scale=_real("grpo.lr_scale", g["lr_scale"]),
         eval=eval_section,
         resolved=resolved,
     )

@@ -493,14 +493,18 @@ class RouterDriver:
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 
-def _episode(pair: PolicyPair, driver: Driver, state: EnvState,
-             policy_rng: np.random.Generator, driver_rng: np.random.Generator,
-             router_rng: np.random.Generator, embed_dim: int):
+def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int,
+             sample_index: int, embed_dim: int):
     """One episode's step loop from ``state``, as a generator.
 
     At each router decision it yields the step's StepSequence and takes the
-    router's probabilities back; it returns the finished Trajectory.
+    router's probabilities back; it returns the finished Trajectory. Only
+    the RNG streams the driver draws from are built.
     """
+    key = (state.episode_seed, sample_index)
+    policy_rng = _rng(master_seed, STREAM_POLICY, *key)
+    driver_rng = _rng(master_seed, STREAM_DRIVER, *key) if isinstance(driver, RandomDriver) else None
+    router_rng = _rng(master_seed, STREAM_ROUTER, *key) if isinstance(driver, RouterDriver) else None
     record_embeddings = isinstance(driver, (RouterDriver, KlstCollect))
     steps: list[TrajStep] = []
     embeddings: list[np.ndarray] = []
@@ -564,33 +568,33 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState,
     )
 
 
-def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
-                  sample_indices, master_seed: int = 0, embed_dim: int = 64) -> list[Trajectory]:
-    """Run one episode seed once per sample index, the members in lockstep.
+def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
+                     master_seed: int = 0, embed_dim: int = 64) -> list[Trajectory]:
+    """Run ``(driver, episode_seed, sample_index)`` members in lockstep.
 
-    The members share one task instance (one reset, so one low-policy
-    table) and differ only in their sampling streams. Every live member has
-    taken the same number of steps, so each round's router decisions go
-    through the router as one stack; each trajectory is bitwise equal to
-    the member's own ``rollout``.
+    Each distinct episode seed is reset once, so its members share one task
+    instance and one low-policy table. Every live member has taken the same
+    number of steps, so each round's router decisions go through each
+    router as one stack. A member's sampling streams are keyed by its
+    episode seed and sample index, never by its place in ``members``, so
+    each trajectory is bitwise equal to the member's own ``rollout``.
     """
-    if isinstance(driver, RouterDriver):
-        if driver.params.config.num_precisions != 2:
-            raise ValueError("synthetic rollouts need a binary (K=2) router")
-        embed_dim = driver.params.config.embed_dim
-
-    start = reset(config, episode_seed)
-    # Members after the first start from their own copy of the state, all
-    # holding the one task: a policy that tells decision steps apart by the
-    # state object it is handed sees each member's.
-    episodes = [
-        _episode(pair, driver, replace(start) if j else start,
-                 policy_rng=_rng(master_seed, STREAM_POLICY, episode_seed, k),
-                 driver_rng=_rng(master_seed, STREAM_DRIVER, episode_seed, k),
-                 router_rng=_rng(master_seed, STREAM_ROUTER, episode_seed, k),
-                 embed_dim=embed_dim)
-        for j, k in enumerate(sample_indices)
-    ]
+    starts: dict[int, EnvState] = {}
+    episodes = []
+    for driver, episode_seed, k in members:
+        member_dim = embed_dim
+        if isinstance(driver, RouterDriver):
+            if driver.params.config.num_precisions != 2:
+                raise ValueError("synthetic rollouts need a binary (K=2) router")
+            member_dim = driver.params.config.embed_dim
+        # A seed's members after the first start from their own copy of the
+        # state, all holding the one task: a policy that tells decision steps
+        # apart by the state object it is handed sees each member's.
+        if episode_seed in starts:
+            start = replace(starts[episode_seed])
+        else:
+            start = starts[episode_seed] = reset(config, episode_seed)
+        episodes.append(_episode(pair, driver, start, master_seed, k, member_dim))
     trajectories: list[Trajectory | None] = [None] * len(episodes)
     requests: dict[int, StepSequence] = {}  # member -> sequence awaiting a decision
 
@@ -603,44 +607,84 @@ def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_s
     for i in range(len(episodes)):
         advance(i, None)
     while requests:
-        live = list(requests)
-        probs, _ = forward_probs_batch([requests.pop(i) for i in live], driver.params)
-        for row, i in enumerate(live):
-            advance(i, probs[row])
+        by_router: dict[int, list[int]] = {}
+        for i in requests:
+            by_router.setdefault(id(members[i][0].params), []).append(i)
+        for live in by_router.values():
+            probs, _ = forward_probs_batch([requests.pop(i) for i in live],
+                                           members[live[0]][0].params)
+            for row, i in enumerate(live):
+                advance(i, probs[row])
     return trajectories
+
+
+def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
+                  sample_indices, master_seed: int = 0, embed_dim: int = 64) -> list[Trajectory]:
+    """Run one episode seed once per sample index, the members in lockstep:
+    they share one task and differ only in their sampling streams."""
+    return rollout_lockstep(config, pair, [(driver, episode_seed, k) for k in sample_indices],
+                            master_seed=master_seed, embed_dim=embed_dim)
 
 
 def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
             master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64) -> Trajectory:
-    """Run one episode under a driver: the one-member ``rollout_group``.
+    """Run one episode under a driver: the one-member ``rollout_lockstep``.
 
     fixed_low / fixed_high query a single policy; random(p) flips an
     independent coin per step; the router driver routes each step from the
     incrementally built StepSequence; klst_collect evaluates both policies,
     records D_t = KL(low || high) and executes the high-precision sample.
     """
-    return rollout_group(config, pair, driver, episode_seed, [sample_index],
-                         master_seed=master_seed, embed_dim=embed_dim)[0]
+    return rollout_lockstep(config, pair, [(driver, episode_seed, sample_index)],
+                            master_seed=master_seed, embed_dim=embed_dim)[0]
 
 
-def _rollout_job(args) -> Trajectory:
-    config, pair, driver, episode_seed, master_seed, embed_dim = args
-    return rollout(config, pair, driver, episode_seed, master_seed, embed_dim=embed_dim)
+# Episode seeds that run_drivers steps together. A larger chunk makes larger
+# router stacks but holds more live episodes: on a 2-core VM a 200-seed,
+# 8-spec sweep took 2.4 / 1.5 / 1.7 s at chunks of 4 / 16 / 64, peaking at
+# 57 / 62 / 81 MB.
+EPISODE_CHUNK = 16
+
+
+def _chunk_job(args) -> list[list[Trajectory]]:
+    config, pair, drivers, seeds, master_seed, embed_dim = args
+    flat = rollout_lockstep(config, pair, [(d, s, 0) for s in seeds for d in drivers],
+                            master_seed=master_seed, embed_dim=embed_dim)
+    return [flat[j::len(drivers)] for j in range(len(drivers))]
+
+
+def run_drivers(config: EnvConfig, pair: PolicyPair, drivers, episode_seeds,
+                master_seed: int = 0, embed_dim: int = 64,
+                workers: int = 1) -> list[list[Trajectory]]:
+    """Every driver's episode on every seed: one column per driver, ordered
+    by the given seeds.
+
+    Seeds run in lockstep chunks of at most EPISODE_CHUNK, each seed reset
+    once for all drivers. With ``workers`` > 1 the chunks are split across
+    one process pool; each trajectory is the same as its own ``rollout``, so
+    neither chunking nor parallelism changes the outcome.
+    """
+    drivers = list(drivers)
+    seeds = [int(s) for s in episode_seeds]
+    # Smaller chunks when there are too few seeds to give every worker one.
+    per_worker = -(-len(seeds) // max(workers, 1))
+    size = max(1, min(EPISODE_CHUNK, per_worker))
+    jobs = [(config, pair, drivers, seeds[i:i + size], master_seed, embed_dim)
+            for i in range(0, len(seeds), size)]
+    if workers <= 1:
+        chunks = [_chunk_job(j) for j in jobs]
+    else:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            chunks = list(pool.map(_chunk_job, jobs))
+    return [[traj for chunk in chunks for traj in chunk[j]] for j in range(len(drivers))]
 
 
 def run_episodes(config: EnvConfig, pair: PolicyPair, driver: Driver,
                  episode_seeds, master_seed: int = 0, embed_dim: int = 64,
                  workers: int = 1) -> list[Trajectory]:
-    """Roll out many independent episodes, optionally across processes.
-
-    Results are ordered by the given seeds regardless of worker count, so
-    parallelism never changes the outcome.
-    """
-    jobs = [(config, pair, driver, int(s), master_seed, embed_dim) for s in episode_seeds]
-    if workers <= 1:
-        return [_rollout_job(j) for j in jobs]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(_rollout_job, jobs, chunksize=max(1, len(jobs) // (4 * workers))))
+    """Roll out many independent episodes: the one-driver ``run_drivers``."""
+    return run_drivers(config, pair, [driver], episode_seeds, master_seed=master_seed,
+                       embed_dim=embed_dim, workers=workers)[0]
 
 
 # --- remote policy adapter -----------------------------------------------------

@@ -22,7 +22,7 @@ from .env import (
     PolicyPair,
     RandomDriver,
     RouterDriver,
-    run_episodes,
+    run_drivers,
 )
 from .router import RouterParams
 
@@ -95,55 +95,52 @@ class EvalReport:
     episodes: list[EpisodeRow] = field(default_factory=list)
 
 
-def _summarize(trajectories):
+def _report(spec: BaselineSpec, trajectories, master_seed: int,
+            weak_success_rate: float | None) -> EvalReport:
+    """``spec``'s report from its trajectories; a fixed_low spec is its own
+    weak baseline."""
     n = len(trajectories)
-    successes = sum(t.success for t in trajectories)
+    success = sum(t.success for t in trajectories) / n
     total_steps = sum(t.n_steps for t in trajectories)
-    total_high = sum(t.n_high for t in trajectories)
-    micro = total_high / total_steps if total_steps else 0.0
-    macro = float(np.mean([t.high_ratio for t in trajectories])) if n else 0.0
-    rows = [EpisodeRow(t.episode_seed, t.success, t.n_high, t.n_steps)
-            for t in trajectories]
-    return successes / n, micro, macro, rows
-
-
-def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
-             n_episodes: int, master_seed: int = 0, episode_seed_start: int = 0,
-             workers: int = 1, weak_report: EvalReport | None = None) -> EvalReport:
-    """Evaluate one method; S_weak comes from a fixed_low run over the same
-    seeds (pass ``weak_report`` to reuse a companion run)."""
-    if n_episodes < 1:
-        raise ValueError("n_episodes must be >= 1")
-    seeds = range(episode_seed_start, episode_seed_start + n_episodes)
-    if weak_report is not None and (
-            weak_report.master_seed != master_seed
-            or [e.episode_seed for e in weak_report.episodes] != list(seeds)):
-        raise ValueError("weak baseline was evaluated on different seeds")
-    driver = spec.driver()
-    trajectories = run_episodes(config, pair, driver, seeds,
-                                master_seed=master_seed, workers=workers)
-    success, micro, macro, rows = _summarize(trajectories)
-
-    if spec.kind == "fixed_low":
-        weak = success
-    elif weak_report is not None:
-        weak = weak_report.success_rate
-    else:
-        weak_trajs = run_episodes(config, pair, FixedLow(), seeds,
-                                  master_seed=master_seed, workers=workers)
-        weak = float(np.mean([t.success for t in weak_trajs]))
-
+    micro = sum(t.n_high for t in trajectories) / total_steps if total_steps else 0.0
+    weak = success if weak_success_rate is None else weak_success_rate
     return EvalReport(
         method=spec.label,
-        n_episodes=n_episodes,
+        n_episodes=n,
         success_rate=success,
         high_ratio=micro,
         weak_success_rate=weak,
         ghc=ghc(success, weak, micro),
         master_seed=master_seed,
-        macro_high_ratio=macro,
-        episodes=rows,
+        macro_high_ratio=float(np.mean([t.high_ratio for t in trajectories])),
+        episodes=[EpisodeRow(t.episode_seed, t.success, t.n_high, t.n_steps)
+                  for t in trajectories],
     )
+
+
+def _seeds(n_episodes: int, episode_seed_start: int) -> range:
+    if n_episodes < 1:
+        raise ValueError("n_episodes must be >= 1")
+    return range(episode_seed_start, episode_seed_start + n_episodes)
+
+
+def evaluate(config: EnvConfig, pair: PolicyPair, spec: BaselineSpec,
+             n_episodes: int, master_seed: int = 0, episode_seed_start: int = 0,
+             workers: int = 1, weak_report: EvalReport | None = None) -> EvalReport:
+    """Evaluate one method: the one-spec ``sweep``. S_weak comes from a
+    fixed_low run over the same seeds (pass ``weak_report`` to reuse a
+    companion run)."""
+    seeds = _seeds(n_episodes, episode_seed_start)
+    if weak_report is not None and (
+            weak_report.master_seed != master_seed
+            or [e.episode_seed for e in weak_report.episodes] != list(seeds)):
+        raise ValueError("weak baseline was evaluated on different seeds")
+    if weak_report is None or spec.kind == "fixed_low":
+        return sweep(config, pair, [spec], n_episodes, master_seed, episode_seed_start,
+                     workers)[0]
+    [trajectories] = run_drivers(config, pair, [spec.driver()], seeds,
+                                 master_seed=master_seed, workers=workers)
+    return _report(spec, trajectories, master_seed, weak_report.success_rate)
 
 
 def sweep(config: EnvConfig, pair: PolicyPair, specs, n_episodes: int,
@@ -151,22 +148,22 @@ def sweep(config: EnvConfig, pair: PolicyPair, specs, n_episodes: int,
           workers: int = 1) -> list[EvalReport]:
     """Evaluate several methods over one shared seed set.
 
-    The fixed_low companion is measured once and reused as S_weak for every
-    spec, keeping GHC values paired.
+    Every method's episode of a seed runs on that seed's one task, next to
+    a fixed_low episode whose report is S_weak for every spec (and is the
+    report of any fixed_low spec), keeping GHC values paired.
     """
     specs = list(specs)
     if not specs:
         raise ValueError("at least one spec is required")
-    weak = evaluate(config, pair, BaselineSpec("fixed_low"), n_episodes,
-                    master_seed, episode_seed_start, workers)
-    reports = []
-    for spec in specs:
-        if spec.kind == "fixed_low":
-            reports.append(weak)
-        else:
-            reports.append(evaluate(config, pair, spec, n_episodes, master_seed,
-                                    episode_seed_start, workers, weak_report=weak))
-    return reports
+    seeds = _seeds(n_episodes, episode_seed_start)
+    runs = [spec for spec in specs if spec.kind != "fixed_low"]
+    weak_column, *columns = run_drivers(
+        config, pair, [FixedLow()] + [spec.driver() for spec in runs], seeds,
+        master_seed=master_seed, workers=workers)
+    weak = _report(BaselineSpec("fixed_low"), weak_column, master_seed, None)
+    reports = (_report(spec, column, master_seed, weak.success_rate)
+               for spec, column in zip(runs, columns))
+    return [weak if spec.kind == "fixed_low" else next(reports) for spec in specs]
 
 
 # --- exports ---------------------------------------------------------------

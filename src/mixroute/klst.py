@@ -65,10 +65,15 @@ def collect(config: EnvConfig, pair: PolicyPair, n_episodes: int,
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     seeds = range(episode_seed_start, episode_seed_start + n_episodes)
-    trajectories = run_episodes(
+    return keep_successful(run_episodes(
         config, pair, KlstCollect(), seeds,
         master_seed=master_seed, embed_dim=embed_dim, workers=workers,
-    )
+    ))
+
+
+def keep_successful(trajectories):
+    """The successful ones of klst_collect ``trajectories``, and the stats."""
+    n_episodes = len(trajectories)
     kept = [t for t in trajectories if t.success]
     if not kept:
         raise EmptyCollectionError(

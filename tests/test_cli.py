@@ -99,6 +99,19 @@ def test_config_hash_is_stable_and_sensitive():
     assert c.config_hash != a.config_hash
 
 
+def test_float_keys_take_numeric_strings_and_keep_the_hash(tmp_path):
+    """PyYAML reads an exponent without a dot, such as 1e-4, as a string;
+    a float key still takes it, and reading values changes no config hash."""
+    path = tmp_path / "config.yaml"
+    path.write_text("klst:\n  learning_rate: 1e-4\ngrpo:\n  beta: '0.5'\n")
+    cfg = load_run_config(path)
+    assert cfg.klst_train.learning_rate == 1e-4
+    assert cfg.grpo.beta == 0.5
+    assert cfg.config_hash == "487251b25cb66e81eeddb5821926c6efee9b4e7e0a8ba2c0ab79d87d05a002e5"
+    assert load_run_config(None).config_hash == \
+        "a5185b663b79ab593c000f12a4f826a65037303fca44d0974db76cac7f188375"
+
+
 def test_invalid_config_exits_2_without_artifacts(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out, **{"env.horizon": 0})
@@ -132,12 +145,24 @@ def _latin1_config(tmp_path, out):
     _directory_config,
     _latin1_config,
     _tweaked_config("output_dir", 5),
+    _tweaked_config("eval.episode_seed_start", -5),
+    _tweaked_config("grpo.lr_scale", True),
+    lambda tmp_path, out: (write_config(tmp_path, out, **{"eval.random_ps": [True, False]}),
+                           "eval.random_ps[0]"),
+    _tweaked_config("env.divergence_low", float("nan")),
+    _tweaked_config("klst.learning_rate", float("nan")),
+    _tweaked_config("grpo.learning_rate", float("inf")),
+    _tweaked_config("klst.tau", "high"),
 ], ids=["str-episodes", "str-workers", "str-seed", "float-episodes", "float-embed-dim",
-        "bool-eval-episodes", "directory", "not-utf8", "int-output-dir"])
+        "bool-eval-episodes", "directory", "not-utf8", "int-output-dir",
+        "negative-seed-start", "bool-lr-scale", "bool-random-ps", "nan-divergence",
+        "nan-klst-lr", "inf-grpo-lr", "str-tau"])
 def test_unusable_config_exits_2_naming_it(tmp_path, capsys, make_config):
-    """A value an integer key cannot take as it stands, an output_dir that is
-    not a path, or a config file that cannot be read, is a config error
-    naming the key or the file; nothing is converted, truncated or run."""
+    """A value an integer key cannot take as it stands, a float key given a
+    bool, a non-finite or a non-numeric value, a negative eval seed, an
+    output_dir that is not a path, or a config file that cannot be read, is
+    a config error naming the key or the file; nothing is converted,
+    truncated or run."""
     out = tmp_path / "out"
     cfg, named = make_config(tmp_path, out)
     assert main(["--config", str(cfg), "calibrate"]) == EXIT_CONFIG

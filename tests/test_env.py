@@ -32,6 +32,7 @@ from mixroute.env import (
     reset,
     rollout,
     rollout_group,
+    rollout_lockstep,
     run_episodes,
     step,
 )
@@ -453,6 +454,28 @@ def test_lockstep_group_matches_solo_rollouts(world, pair, driver):
     if not isinstance(driver, (FixedHigh, KlstCollect)):
         # members of one group leave the lockstep at different steps
         assert any(len(set(n)) > 1 for n in lengths)
+
+
+def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
+    """Members of every driver over several seeds and sample indices, two
+    router parameter sets among them, each equal their own rollout; each
+    round runs one router stack per parameter set."""
+    other = RouterParams.initialize(RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32), seed=4)
+    drivers = [FixedLow(), KlstCollect(), RouterDriver(LOCKSTEP_ROUTER, mode="greedy"),
+               RandomDriver(0.4), RouterDriver(other, mode="sampled"), FixedHigh(),
+               RouterDriver(LOCKSTEP_ROUTER, mode="sampled")]
+    members = [(d, s, k) for s in (3, 0, 11) for k in (0, 2) for d in drivers]
+    stacks = []
+    forward = env_module.forward_probs_batch
+    monkeypatch.setattr(env_module, "forward_probs_batch",
+                        lambda seqs, params: stacks.append((id(params), len(seqs)))
+                        or forward(seqs, params))
+    together = rollout_lockstep(world, pair, members, master_seed=2, embed_dim=32)
+    # round 1: every router member decides, 12 on one parameter set and 6 on the other
+    assert stacks[:2] == [(id(LOCKSTEP_ROUTER), 12), (id(other), 6)]
+    for (driver, episode_seed, k), traj in zip(members, together):
+        assert_same_trajectory(traj, rollout(world, pair, driver, episode_seed, master_seed=2,
+                                             sample_index=k, embed_dim=32))
 
 
 def test_group_members_share_one_low_table(world, pair, monkeypatch):

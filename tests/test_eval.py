@@ -2,11 +2,13 @@
 
 import csv
 import json
+from collections import Counter
 
 import numpy as np
 import pytest
 
-from mixroute.env import EnvConfig, make_policy_pair
+from mixroute import env as env_module
+from mixroute.env import EPISODE_CHUNK, EnvConfig, make_policy_pair, rollout
 from mixroute.evaluation import (
     BaselineSpec,
     evaluate,
@@ -17,6 +19,7 @@ from mixroute.evaluation import (
     save_report_json,
     sweep,
 )
+from mixroute.router import RouterConfig, RouterParams
 
 import ghc_cases
 
@@ -176,3 +179,64 @@ def test_report_exports(tmp_path, world, pair):
     assert len(payload[0]["episodes"]) == 30
     assert payload[1]["ghc"] is not None
     assert load_report_json(json_path) == reports
+
+
+SMALL_ROUTER = RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32, max_len=16)
+EVERY_KIND = [
+    BaselineSpec("random", p=0.3),
+    BaselineSpec("fixed_low"),
+    BaselineSpec("router", params=RouterParams.initialize(SMALL_ROUTER, seed=1)),
+    BaselineSpec("fixed_high"),
+    BaselineSpec("router", params=RouterParams.initialize(SMALL_ROUTER, seed=2), mode="sampled"),
+    BaselineSpec("random", p=0.7),
+]
+PAST_TWO_CHUNKS = 2 * EPISODE_CHUNK + 3
+
+
+def test_sweep_equals_solo_evaluations_and_rollouts(tmp_path, world, pair):
+    """One sweep over more seeds than two lockstep chunks gives, report by
+    report and byte for byte, what each spec's own evaluate gives, and every
+    episode row is that seed's solo rollout."""
+    reports = sweep(world, pair, EVERY_KIND, PAST_TWO_CHUNKS, master_seed=7,
+                    episode_seed_start=300)
+    alone = [evaluate(world, pair, spec, PAST_TWO_CHUNKS, master_seed=7, episode_seed_start=300)
+             for spec in EVERY_KIND]
+    assert reports == alone
+    save_report_json(reports, tmp_path / "sweep.json")
+    save_report_json(alone, tmp_path / "alone.json")
+    assert (tmp_path / "sweep.json").read_bytes() == (tmp_path / "alone.json").read_bytes()
+    for spec, report in zip(EVERY_KIND, reports):
+        solo = [rollout(world, pair, spec.driver(), e.episode_seed, master_seed=7)
+                for e in report.episodes]
+        assert [(e.episode_seed, e.success, e.n_high, e.n_steps) for e in report.episodes] == \
+            [(t.episode_seed, t.success, t.n_high, t.n_steps) for t in solo]
+
+
+def test_sweep_builds_and_solves_each_task_once(world, pair, monkeypatch):
+    built, solved = Counter(), []
+    build, solve = env_module._build_task, env_module._solve_low_table
+    monkeypatch.setattr(env_module, "_build_task",
+                        lambda config, seed: built.update([seed]) or build(config, seed))
+    monkeypatch.setattr(env_module, "_solve_low_table",
+                        lambda task: solved.append(task) or solve(task))
+    seeds = range(300, 300 + PAST_TWO_CHUNKS)
+    sweep(world, pair, EVERY_KIND, len(seeds), master_seed=7, episode_seed_start=seeds[0])
+    assert built == Counter(seeds)
+    assert len(solved) <= len(seeds)
+    assert len({id(task) for task in solved}) == len(solved)
+
+
+def test_parallel_sweep_matches_serial_in_one_pool(world, pair, monkeypatch):
+    pools = []
+
+    class CountedPool(env_module.ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            pools.append(self)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(env_module, "ProcessPoolExecutor", CountedPool)
+    serial = sweep(world, pair, EVERY_KIND, PAST_TWO_CHUNKS, master_seed=7, workers=1)
+    assert pools == []
+    parallel = sweep(world, pair, EVERY_KIND, PAST_TWO_CHUNKS, master_seed=7, workers=2)
+    assert len(pools) == 1
+    assert parallel == serial
