@@ -17,6 +17,7 @@ import argparse
 import hashlib
 import json
 import sys
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -65,29 +66,6 @@ def _write_manifest(stage_dir: Path, stage: str, cfg: RunConfig,
     )
 
 
-def _read_manifest(stage_dir: Path, stage: str, cfg: RunConfig) -> dict:
-    path = stage_dir / "manifest.json"
-    if not path.exists():
-        raise StageError(
-            f"missing upstream artifact: {path} (run the {stage} stage first)",
-            EXIT_MISSING,
-        )
-    try:
-        manifest = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:
-        raise StageError(f"unreadable upstream artifact: {path} ({exc})", EXIT_MISSING)
-    problem = _manifest_problem(manifest)
-    if problem:
-        raise StageError(f"malformed upstream manifest: {path} ({problem})", EXIT_MISSING)
-    if manifest["config_hash"] != cfg.config_hash:
-        raise StageError(
-            f"config hash mismatch against {path}: upstream artifacts were "
-            "produced under a different configuration",
-            EXIT_CONFIG,
-        )
-    return manifest
-
-
 def _manifest_problem(manifest) -> str | None:
     """What keeps ``manifest`` from having the shape _write_manifest gives it."""
     if not isinstance(manifest, dict) or not isinstance(manifest.get("config_hash"), str):
@@ -101,26 +79,48 @@ def _manifest_problem(manifest) -> str | None:
     return None
 
 
-def _upstream_output(manifest: dict, name: str) -> Path:
+def _load(path: Path, load):
+    """``load(path)``, or exit 4 naming a file that is missing or that
+    ``load`` cannot read."""
+    if not path.exists():
+        raise StageError(f"missing upstream artifact: {path}", EXIT_MISSING)
+    try:
+        return load(path)
+    except (OSError, ValueError, KeyError, TypeError, CheckpointError) as exc:
+        raise StageError(f"unreadable upstream artifact: {path} ({exc})", EXIT_MISSING)
+
+
+def _upstream(cfg: RunConfig, stage_dir: Path, stage: str, name: str, load):
+    """Output ``name`` of the ``stage`` run in ``stage_dir``: its manifest
+    must have the written shape and this config's hash, and the file the
+    sha256 recorded there. Returns ``(path, load(path))``."""
+    manifest_path = stage_dir / "manifest.json"
+    if not manifest_path.exists():
+        raise StageError(f"missing upstream artifact: {manifest_path} "
+                         f"(run the {stage} stage first)", EXIT_MISSING)
+    manifest = _load(manifest_path, lambda p: json.loads(p.read_text(encoding="utf-8")))
+    problem = _manifest_problem(manifest)
+    if problem:
+        raise StageError(f"malformed upstream manifest: {manifest_path} ({problem})",
+                         EXIT_MISSING)
+    if manifest["config_hash"] != cfg.config_hash:
+        raise StageError(
+            f"config hash mismatch against {manifest_path}: upstream artifacts were "
+            "produced under a different configuration",
+            EXIT_CONFIG,
+        )
     entry = manifest["outputs"].get(name)
     if entry is None:
         raise StageError(f"upstream manifest lacks output {name!r}", EXIT_MISSING)
+
+    def recorded(path):
+        if _sha256(path) != entry["sha256"]:
+            raise StageError(f"modified upstream artifact: {path} "
+                             "(its sha256 differs from the manifest's)", EXIT_MISSING)
+        return load(path)
+
     path = Path(entry["path"])
-    if not path.exists():
-        raise StageError(f"missing upstream artifact: {path}", EXIT_MISSING)
-    if _sha256(path) != entry["sha256"]:
-        raise StageError(
-            f"modified upstream artifact: {path} (its sha256 differs from the manifest's)",
-            EXIT_MISSING,
-        )
-    return path
-
-
-def _load_checkpoint(path: Path, cfg: RunConfig) -> RouterParams:
-    try:
-        return load_params(path, cfg.router)
-    except CheckpointError as exc:
-        raise StageError(f"{path} is not a usable router checkpoint: {exc}", EXIT_MISSING)
+    return path, _load(path, recorded)
 
 
 def _stage_dir(cfg: RunConfig, stage: str) -> Path:
@@ -230,13 +230,8 @@ def cmd_collect(cfg: RunConfig) -> int:
 
 def cmd_train_klst(cfg: RunConfig) -> int:
     stage = _stage_dir(cfg, "klst")
-    upstream = _read_manifest(cfg.output_dir / "collect", "collect", cfg)
-    dataset_path = _upstream_output(upstream, "dataset")
-    try:
-        dataset = klst.load_dataset(dataset_path)
-    except (ValueError, KeyError) as exc:
-        raise StageError(f"unreadable upstream artifact: {dataset_path} ({exc})",
-                         EXIT_MISSING)
+    dataset_path, dataset = _upstream(cfg, cfg.output_dir / "collect", "collect", "dataset",
+                                      klst.load_dataset)
 
     params = RouterParams.initialize(cfg.router, seed=cfg.master_seed)
     result = klst.train_klst(dataset, params, cfg.klst_train)
@@ -262,14 +257,12 @@ def cmd_train_klst(cfg: RunConfig) -> int:
 
 def cmd_train_grpo(cfg: RunConfig, checkpoint: Path | None = None) -> int:
     stage = _stage_dir(cfg, "grpo")
+    load = partial(load_params, config=cfg.router)
     if checkpoint is None:
-        upstream = _read_manifest(cfg.output_dir / "klst", "train-klst", cfg)
-        checkpoint = _upstream_output(upstream, "checkpoint")
+        checkpoint, init_params = _upstream(cfg, cfg.output_dir / "klst", "train-klst",
+                                            "checkpoint", load)
     else:
-        checkpoint = Path(checkpoint)
-        if not checkpoint.exists():
-            raise StageError(f"missing upstream artifact: {checkpoint}", EXIT_MISSING)
-    init_params = _load_checkpoint(checkpoint, cfg)
+        init_params = _load(Path(checkpoint), load)
 
     pair = make_policy_pair(cfg.env)
     result = grpo.train_grpo(cfg.env, pair, init_params, cfg.grpo, cfg.reward)
@@ -304,11 +297,9 @@ def cmd_eval(cfg: RunConfig) -> int:
     for stage_name in ("klst", "grpo"):
         stage_dir = cfg.output_dir / stage_name
         if (stage_dir / "router.ckpt").exists() or (stage_dir / "manifest.json").exists():
-            upstream = _read_manifest(stage_dir, f"train-{stage_name}", cfg)
-            ckpt = _upstream_output(upstream, "checkpoint")
-            spec = BaselineSpec("router", params=_load_checkpoint(ckpt, cfg),
-                                mode=cfg.eval.mode)
-            specs.append(spec)
+            ckpt, params = _upstream(cfg, stage_dir, f"train-{stage_name}", "checkpoint",
+                                     partial(load_params, config=cfg.router))
+            specs.append(BaselineSpec("router", params=params, mode=cfg.eval.mode))
             labels[len(specs) - 1] = f"router-{stage_name}[{cfg.eval.mode}]"
             inputs[f"{stage_name}_checkpoint"] = ckpt
 
@@ -337,13 +328,8 @@ def cmd_eval(cfg: RunConfig) -> int:
 def cmd_export(cfg: RunConfig) -> int:
     """Combine eval artifacts into a single frontier + summary export."""
     stage = _stage_dir(cfg, "export")
-    upstream = _read_manifest(cfg.output_dir / "eval", "eval", cfg)
-    report_json = _upstream_output(upstream, "report_json")
-    try:
-        reports = evaluation.load_report_json(report_json)
-    except (ValueError, KeyError, TypeError) as exc:
-        raise StageError(f"unreadable upstream artifact: {report_json} ({exc})",
-                         EXIT_MISSING)
+    report_json, reports = _upstream(cfg, cfg.output_dir / "eval", "eval", "report_json",
+                                     evaluation.load_report_json)
 
     frontier_path = stage / "frontier.csv"
     evaluation.save_frontier_csv(reports, frontier_path)
@@ -365,6 +351,7 @@ def cmd_export(cfg: RunConfig) -> int:
 # --- argument parsing ----------------------------------------------------------
 
 def _build_parser() -> argparse.ArgumentParser:
+    """Each flag stores its value under the config key it overrides."""
     parser = argparse.ArgumentParser(
         prog="mixroute",
         description="Step-level mix-precision routing pipeline",
@@ -374,64 +361,45 @@ def _build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--seed", type=int, default=None, help="master seed override")
     parser.add_argument("--workers", type=int, default=None,
                         help="episode-level parallelism for collect/eval")
-    parser.add_argument("--out", type=Path, default=None, help="output directory override")
+    parser.add_argument("--out", dest="output_dir", type=lambda v: str(Path(v)),
+                        default=None, metavar="OUT", help="output directory override")
     sub = parser.add_subparsers(dest="command", required=True)
 
     sub.add_parser("calibrate", help="verify world invariants before training")
 
     p_collect = sub.add_parser("collect", help="collect the KL supervision dataset")
-    p_collect.add_argument("--episodes", type=int, default=None)
-    p_collect.add_argument("--tau", type=float, default=None)
+    p_collect.add_argument("--episodes", dest="klst.episodes", type=int, default=None,
+                           metavar="N")
+    p_collect.add_argument("--tau", dest="klst.tau", type=float, default=None, metavar="TAU")
 
     sub.add_parser("train-klst", help="stage-1 supervised router training")
 
     p_grpo = sub.add_parser("train-grpo", help="stage-2 cost-aware policy optimization")
     p_grpo.add_argument("--checkpoint", type=Path, default=None,
                         help="explicit stage-1 checkpoint (defaults to the klst stage output)")
-    p_grpo.add_argument("--lambda-high", type=float, default=None)
-    p_grpo.add_argument("--beta", type=float, default=None)
-    p_grpo.add_argument("--group-size", type=int, default=None)
-    p_grpo.add_argument("--episodes", type=int, default=None,
-                        help="episode budget override")
+    p_grpo.add_argument("--lambda-high", dest="grpo.lambda_high", type=float, default=None,
+                        metavar="LAMBDA_HIGH")
+    p_grpo.add_argument("--beta", dest="grpo.beta", type=float, default=None, metavar="BETA")
+    p_grpo.add_argument("--group-size", dest="grpo.group_size", type=int, default=None,
+                        metavar="GROUP_SIZE")
+    p_grpo.add_argument("--episodes", dest="grpo.episode_budget", type=int, default=None,
+                        metavar="N", help="episode budget override")
 
     p_eval = sub.add_parser("eval", help="shared-seed baseline and router sweep")
-    p_eval.add_argument("--episodes", type=int, default=None)
+    p_eval.add_argument("--episodes", dest="eval.episodes", type=int, default=None,
+                        metavar="N")
 
     sub.add_parser("export", help="combine eval artifacts into frontier exports")
     return parser
 
 
-def _overrides(args: argparse.Namespace) -> dict:
-    mapping = {
-        "seed": "seed",
-        "workers": "workers",
-        "tau": "klst.tau",
-        "lambda_high": "grpo.lambda_high",
-        "beta": "grpo.beta",
-        "group_size": "grpo.group_size",
-    }
-    out = {}
-    for attr, key in mapping.items():
-        value = getattr(args, attr, None)
-        if value is not None:
-            out[key] = value
-    if getattr(args, "out", None) is not None:
-        out["output_dir"] = str(args.out)
-    episodes = getattr(args, "episodes", None)
-    if episodes is not None:
-        if args.command == "collect":
-            out["klst.episodes"] = episodes
-        elif args.command == "eval":
-            out["eval.episodes"] = episodes
-        elif args.command == "train-grpo":
-            out["grpo.episode_budget"] = episodes
-    return out
-
-
 def main(argv=None) -> int:
-    args = _build_parser().parse_args(argv)
+    overrides = vars(_build_parser().parse_args(argv))
+    command = overrides.pop("command")
+    config_path = overrides.pop("config")
+    checkpoint = overrides.pop("checkpoint", None)
     try:
-        cfg = load_run_config(args.config, _overrides(args))
+        cfg = load_run_config(config_path, overrides)
     except ConfigValidationError as exc:
         print(exc, file=sys.stderr)
         return EXIT_CONFIG
@@ -444,9 +412,9 @@ def main(argv=None) -> int:
         "export": cmd_export,
     }
     try:
-        if args.command == "train-grpo":
-            return cmd_train_grpo(cfg, checkpoint=args.checkpoint)
-        return commands[args.command](cfg)
+        if command == "train-grpo":
+            return cmd_train_grpo(cfg, checkpoint=checkpoint)
+        return commands[command](cfg)
     except StageError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code

@@ -136,6 +136,13 @@ def _real(key: str, value) -> float:
     return number
 
 
+def _rate(key: str, value: float) -> float:
+    """``value`` if it can be a learning rate: finite and > 0."""
+    if not (math.isfinite(value) and value > 0):
+        raise _UnusableValue(f"{key} must be finite and > 0, got {value!r}")
+    return value
+
+
 def _merge(base: dict, override: dict, path: str, violations: list[str]) -> dict:
     out = copy.deepcopy(base)
     for key, value in override.items():
@@ -218,7 +225,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     klst_train = build("klst", lambda: KlstTrainConfig(
         epochs=_integer("klst.epochs", k["epochs"]),
         batch_size=_integer("klst.batch_size", k["batch_size"]),
-        learning_rate=_real("klst.learning_rate", k["learning_rate"]),
+        learning_rate=_rate("klst.learning_rate",
+                            _real("klst.learning_rate", k["learning_rate"])),
         seed=seed,
         select_by=str(k["select_by"]),
     ))
@@ -230,8 +238,9 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     grpo_cfg = build("grpo", lambda: GRPOConfig(
         group_size=_integer("grpo.group_size", g["group_size"]),
         beta=_real("grpo.beta", g["beta"]),
-        learning_rate=(_real("grpo.learning_rate", g["learning_rate"])
-                       * _real("grpo.lr_scale", g["lr_scale"])),
+        learning_rate=_rate("grpo.learning_rate * grpo.lr_scale",
+                            _real("grpo.learning_rate", g["learning_rate"])
+                            * _real("grpo.lr_scale", g["lr_scale"])),
         episode_budget=_integer("grpo.episode_budget", g["episode_budget"]),
         seed=seed,
     ))

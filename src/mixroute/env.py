@@ -27,7 +27,7 @@ import socket
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
 from functools import cached_property, lru_cache
-from typing import Callable
+from typing import Callable, ClassVar
 
 import numpy as np
 
@@ -433,7 +433,6 @@ def embed_step(task_tokens, action: int | None, observation_tokens, dim: int) ->
 @dataclass(frozen=True)
 class TrajStep:
     t: int
-    observation: tuple[str, ...]
     action: int
     executed: int                      # LOW or HIGH: precision actually queried
     route_choice: int | None           # router decision, None for fixed drivers
@@ -460,23 +459,23 @@ class Trajectory:
 
 @dataclass(frozen=True)
 class FixedLow:
-    tag: str = "fixed_low"
+    tag: ClassVar[str] = "fixed_low"
 
 
 @dataclass(frozen=True)
 class FixedHigh:
-    tag: str = "fixed_high"
+    tag: ClassVar[str] = "fixed_high"
 
 
 @dataclass(frozen=True)
 class KlstCollect:
-    tag: str = "klst_collect"
+    tag: ClassVar[str] = "klst_collect"
 
 
 @dataclass(frozen=True)
 class RandomDriver:
     p: float
-    tag: str = "random"
+    tag: ClassVar[str] = "random"
 
     def __post_init__(self):
         if not 0.0 <= self.p <= 1.0:
@@ -487,7 +486,7 @@ class RandomDriver:
 class RouterDriver:
     params: RouterParams
     mode: str = "sampled"
-    tag: str = "router"
+    tag: ClassVar[str] = "router"
 
 
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
@@ -547,7 +546,6 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
 
         steps.append(TrajStep(
             t=state.t,
-            observation=state.observation,
             action=action,
             executed=executed,
             route_choice=choice,
@@ -616,14 +614,6 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
             for row, i in enumerate(live):
                 advance(i, probs[row])
     return trajectories
-
-
-def rollout_group(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
-                  sample_indices, master_seed: int = 0, embed_dim: int = 64) -> list[Trajectory]:
-    """Run one episode seed once per sample index, the members in lockstep:
-    they share one task and differ only in their sampling streams."""
-    return rollout_lockstep(config, pair, [(driver, episode_seed, k) for k in sample_indices],
-                            master_seed=master_seed, embed_dim=embed_dim)
 
 
 def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,

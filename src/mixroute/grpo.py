@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .env import EnvConfig, PolicyPair, RouterDriver, Trajectory, rollout_group
+from .env import EnvConfig, PolicyPair, RouterDriver, Trajectory, rollout_lockstep
 from .nn import AdamConfig, PROB_FLOOR, adam_step
 from .router import (
     RouterParams,
@@ -56,8 +56,10 @@ class GRPOConfig:
     def __post_init__(self):
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
-        if self.beta < 0 or self.epsilon <= 0 or self.learning_rate <= 0:
-            raise ValueError("beta >= 0, epsilon > 0 and learning_rate > 0 required")
+        if self.beta < 0 or self.epsilon <= 0:
+            raise ValueError("beta >= 0 and epsilon > 0 required")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
 
 
 def trajectory_return(traj: Trajectory, cfg: RewardConfig) -> float:
@@ -215,8 +217,8 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
     for g in range(n_groups):
         episode_seed = episode_seed_start + g
         driver = RouterDriver(params, mode="sampled")
-        trajectories = rollout_group(env_config, pair, driver, episode_seed,
-                                     range(config.group_size), master_seed=config.seed)
+        members = [(driver, episode_seed, k) for k in range(config.group_size)]
+        trajectories = rollout_lockstep(env_config, pair, members, master_seed=config.seed)
         group = TrajectoryGroup.build(trajectories, reward, config.epsilon)
         loss = grpo_update([group], params, anchor, config)
         total_steps = sum(t.n_steps for t in trajectories)

@@ -8,6 +8,7 @@ into binary labels, and train the router with class-weighted cross-entropy.
 from __future__ import annotations
 
 import json
+import math
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -215,6 +216,8 @@ class KlstTrainConfig:
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
+        if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
+            raise ValueError("learning_rate must be finite and > 0")
         if self.select_by not in ("balanced_accuracy", "accuracy"):
             raise ValueError("select_by must be balanced_accuracy or accuracy")
 

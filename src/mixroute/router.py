@@ -405,10 +405,13 @@ def load_params(path, config: RouterConfig | None = None) -> RouterParams:
         raise CheckpointVersionError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
-    stored = RouterConfig(
-        embed_dim=embed_dim, num_layers=num_layers, num_heads=num_heads,
-        ffn_dim=ffn_dim, num_precisions=num_precisions, max_len=max_len,
-    )
+    try:
+        stored = RouterConfig(
+            embed_dim=embed_dim, num_layers=num_layers, num_heads=num_heads,
+            ffn_dim=ffn_dim, num_precisions=num_precisions, max_len=max_len,
+        )
+    except ValueError as exc:
+        raise CorruptCheckpointError(f"{path}: header stores an unusable config ({exc})") from None
     if config is not None and config != stored:
         raise CheckpointConfigError(
             f"{path}: stored config {stored} does not match expected {config}"

@@ -2,12 +2,14 @@
 
 import hashlib
 import json
+import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
 import yaml
 
+import mixroute.cli as cli
 from mixroute.cli import (
     EXIT_CONFIG,
     EXIT_INVARIANT,
@@ -153,13 +155,20 @@ def _latin1_config(tmp_path, out):
     _tweaked_config("klst.learning_rate", float("nan")),
     _tweaked_config("grpo.learning_rate", float("inf")),
     _tweaked_config("klst.tau", "high"),
+    _tweaked_config("klst.learning_rate", -1e-4),
+    _tweaked_config("klst.learning_rate", 0),
+    lambda tmp_path, out: (write_config(tmp_path, out, **{"grpo.learning_rate": 1e200,
+                                                          "grpo.lr_scale": 1e200}),
+                           "grpo.learning_rate"),
 ], ids=["str-episodes", "str-workers", "str-seed", "float-episodes", "float-embed-dim",
         "bool-eval-episodes", "directory", "not-utf8", "int-output-dir",
         "negative-seed-start", "bool-lr-scale", "bool-random-ps", "nan-divergence",
-        "nan-klst-lr", "inf-grpo-lr", "str-tau"])
+        "nan-klst-lr", "inf-grpo-lr", "str-tau", "negative-klst-lr", "zero-klst-lr",
+        "overflowing-grpo-lr"])
 def test_unusable_config_exits_2_naming_it(tmp_path, capsys, make_config):
     """A value an integer key cannot take as it stands, a float key given a
-    bool, a non-finite or a non-numeric value, a negative eval seed, an
+    bool, a non-finite or a non-numeric value, a learning rate that is not
+    finite and > 0 (for stage 2, after lr_scale), a negative eval seed, an
     output_dir that is not a path, or a config file that cannot be read, is
     a config error naming the key or the file; nothing is converted,
     truncated or run."""
@@ -364,13 +373,28 @@ def test_eval_refuses_version_1_checkpoint(tmp_path, capsys):
     assert str(path) in err and "version 1" in err
 
 
-def test_train_grpo_rejects_non_checkpoint(tmp_path):
+def _zero_embed_dim_header(path):
+    """A version-2 checkpoint header whose stored router config has embed_dim 0."""
+    path.write_bytes(struct.pack("<4sI6I", b"MXRT", 2, 0, 2, 2, 32, 2, 16))
+    return path
+
+
+@pytest.mark.parametrize("make_checkpoint", [
+    lambda out: out / "collect" / "dataset.jsonl",
+    lambda out: out / "collect",
+    lambda out: _zero_embed_dim_header(out / "bad.ckpt"),
+], ids=["dataset-file", "directory", "zero-embed-dim-header"])
+def test_train_grpo_rejects_non_checkpoint(tmp_path, capsys, make_checkpoint):
+    """A --checkpoint file that cannot be read as a router checkpoint exits
+    4, naming the file."""
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)
     assert main(["--config", str(cfg), "collect"]) == EXIT_OK
-    dataset = out / "collect" / "dataset.jsonl"
-    code = main(["--config", str(cfg), "train-grpo", "--checkpoint", str(dataset)])
+    checkpoint = make_checkpoint(out)
+    capsys.readouterr()
+    code = main(["--config", str(cfg), "train-grpo", "--checkpoint", str(checkpoint)])
     assert code == EXIT_MISSING
+    assert str(checkpoint) in capsys.readouterr().err
 
 
 def test_config_hash_mismatch_guard(tmp_path):
@@ -380,6 +404,29 @@ def test_config_hash_mismatch_guard(tmp_path):
     cfg_b = tmp_path / "config_b.yaml"
     cfg_b.write_text(yaml.safe_dump(small_config(out, **{"klst.tau": 0.78})))
     assert main(["--config", str(cfg_b), "train-klst"]) == EXIT_CONFIG
+
+
+@pytest.mark.parametrize("argv, overrides", [
+    (["--seed", "5", "calibrate"], {"seed": 5}),
+    (["--workers", "2", "eval"], {"workers": 2}),
+    (["--out", "runs/x/", "export"], {"output_dir": "runs/x"}),
+    (["collect", "--episodes", "12", "--tau", "0.8"], {"klst.episodes": 12, "klst.tau": 0.8}),
+    (["train-grpo", "--lambda-high", "0.1", "--beta", "0.5", "--group-size", "4",
+      "--episodes", "16"],
+     {"grpo.lambda_high": 0.1, "grpo.beta": 0.5, "grpo.group_size": 4,
+      "grpo.episode_budget": 16}),
+    (["eval", "--episodes", "9"], {"eval.episodes": 9}),
+], ids=["seed", "workers", "out", "collect", "train-grpo", "eval"])
+def test_each_flag_overrides_its_config_key(monkeypatch, argv, overrides):
+    """A flag gives the stage the config that the override of its key gives;
+    --out is stored as a path, so a trailing slash does not change the hash."""
+    captured = []
+    for name in ("cmd_calibrate", "cmd_collect", "cmd_train_klst", "cmd_eval", "cmd_export"):
+        monkeypatch.setattr(cli, name, lambda cfg: captured.append(cfg) or EXIT_OK)
+    monkeypatch.setattr(cli, "cmd_train_grpo",
+                        lambda cfg, checkpoint=None: captured.append(cfg) or EXIT_OK)
+    assert main(argv) == EXIT_OK
+    assert captured[0].resolved == load_run_config(None, overrides).resolved
 
 
 def test_seed_override_changes_artifacts(tmp_path):

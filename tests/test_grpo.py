@@ -29,7 +29,7 @@ TINY = RouterConfig(embed_dim=4, num_layers=2, num_heads=2, ffn_dim=8, max_len=4
 
 def make_traj(embeddings, choices, success, seed=0):
     steps = tuple(
-        TrajStep(t=i + 1, observation=("o",), action=0, executed=c,
+        TrajStep(t=i + 1, action=0, executed=c,
                  route_choice=c, d_t=None, embedding=np.asarray(e, dtype=float),
                  critical=False)
         for i, (e, c) in enumerate(zip(embeddings, choices))
@@ -330,7 +330,7 @@ def test_grpo_missing_snapshots_rejected():
     anchor = AnchorSnapshot(params)
     bare = Trajectory(
         episode_seed=0, driver="fixed_high",
-        steps=(TrajStep(1, ("o",), 0, 1, None, None, None, False),),
+        steps=(TrajStep(1, 0, 1, None, None, None, False),),
         success=True, n_high=1, n_steps=1,
     )
     group = TrajectoryGroup([bare], np.array([1.0]), np.array([0.0]))
@@ -369,11 +369,11 @@ def test_train_grpo_lockstep_matches_solo_rollouts(monkeypatch):
     cfg = GRPOConfig(group_size=8, episode_budget=32, learning_rate=1e-3, seed=4)
     lockstep = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
 
-    def one_at_a_time(config, pair, driver, episode_seed, sample_indices, master_seed):
+    def one_at_a_time(config, pair, members, master_seed):
         return [rollout(config, pair, driver, episode_seed, master_seed=master_seed,
-                        sample_index=k) for k in sample_indices]
+                        sample_index=k) for driver, episode_seed, k in members]
 
-    monkeypatch.setattr(grpo_module, "rollout_group", one_at_a_time)
+    monkeypatch.setattr(grpo_module, "rollout_lockstep", one_at_a_time)
     solo = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
     assert [m.__dict__ for m in lockstep.curve] == [m.__dict__ for m in solo.curve]
     for (_, ta), (_, tb) in zip(lockstep.params.tensors(), solo.params.tensors()):

@@ -1,6 +1,7 @@
 """Router: positions, pooling, routing head, checkpoints."""
 
 import math
+import struct
 
 import numpy as np
 import pytest
@@ -207,6 +208,13 @@ def test_checkpoint_version_1_refused(tmp_path, params):
     write_version1_checkpoint(params, path)
     with pytest.raises(CheckpointVersionError, match="version 1, expected 2"):
         load_params(path, SMALL)
+
+
+def test_checkpoint_header_with_unusable_config_is_corrupt(tmp_path):
+    path = tmp_path / "router.ckpt"
+    path.write_bytes(struct.pack("<4sI6I", b"MXRT", 2, 0, 2, 2, 16, 2, 6))
+    with pytest.raises(CorruptCheckpointError, match="embed_dim must be >= 1"):
+        load_params(path)
 
 
 def test_checkpoint_trailing_bytes(tmp_path, params):
