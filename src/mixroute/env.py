@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import socket
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field, replace
@@ -150,9 +151,10 @@ class TaskSpec:
 
     @cached_property
     def _low_table(self) -> tuple[np.ndarray, dict[int, str]]:
-        # Solved on the first low query; lives and dies with this task and is
-        # not a field, so it takes no part in equality or hashing.
-        return _solve_low_table(self)
+        # Solved on the first low query unless rollout_lockstep stored it
+        # first, with the rest of its chunk; lives and dies with this task and
+        # is not a field, so it takes no part in equality or hashing.
+        return _solve_low_tables([self])[0]
 
 
 def _build_task(config: EnvConfig, episode_seed: int) -> TaskSpec:
@@ -304,6 +306,16 @@ def _concentrated(n_actions: int, on: frozenset[int], mass: float) -> np.ndarray
     return dist
 
 
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) of each row of two (R, A) arrays, with 0*log(0/q)=0 and
+    +inf where p puts mass where q has none."""
+    live = p > 0.0
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = np.where(live, p * np.log(p / q), 0.0).sum(axis=1)
+    kl[(live & (q <= 0.0)).any(axis=1)] = np.inf
+    return kl
+
+
 def kl_divergence(p, q) -> float:
     """KL(p || q) for categoricals over the same support, with 0*log(0/q)=0.
 
@@ -314,55 +326,60 @@ def kl_divergence(p, q) -> float:
     if p.shape != q.shape:
         raise ValueError(f"support sizes differ: {p.shape[0]} vs {q.shape[0]}")
     live = p > 0.0
-    if np.any(live & (q <= 0.0)):
-        return float("inf")
-    return float(np.sum(p[live] * np.log(p[live] / q[live])))
+    # The live entries alone, so the sum adds the same terms in the same order
+    # at any support size, where a zero-filled row's pairwise sum may not.
+    return float(_kl_rows(p[None, live], q[None, live])[0])
 
 
-def _solve_low_table(task: TaskSpec) -> tuple[np.ndarray, dict[int, str]]:
-    """Every step's low-policy distribution, solved in one bisection.
+def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
+    """Every step's low-policy distribution of each task, in one bisection.
 
-    Row t is the smallest mixture (1-a)*high + a*direction with
-    KL(mix || high) = kl_targets[t], where direction spreads all mass over
-    the poisoning actions at a critical step and is uniform elsewhere. KL of
-    the mixture is convex in ``a`` with value 0 at a=0, hence nondecreasing
-    on [0, 1]; bisection is exact enough at 80 iterations, and stops sooner
-    once an iteration moves no bound of any row. The rows bisect side by
-    side, each with the arithmetic of a bisection of its own. Steps
-    whose target is unreachable are left out and map to their error message
+    Row t of a task's table is the smallest mixture (1-a)*high + a*direction
+    with KL(mix || high) = kl_targets[t], where direction spreads all mass
+    over the poisoning actions at a critical step and is uniform elsewhere.
+    KL of the mixture is convex in ``a`` with value 0 at a=0, hence
+    nondecreasing on [0, 1]; bisection is exact enough at 80 iterations, and
+    stops sooner once an iteration moves no bound of any row. The rows of
+    every task bisect side by side, each with the arithmetic of a bisection
+    of its own; a row whose bounds stopped moving never moves again, so a
+    task's table does not depend on the tasks solved with it. Steps whose
+    target is unreachable are left NaN and map to their error message
     instead, raised only if that step is queried. Row 0 is unused.
-    """
-    n_actions = task.n_actions
-    table = np.full((len(task.kl_targets), n_actions), np.nan)
-    unreachable: dict[int, str] = {}
-    rows, bases, directions = [], [], []
-    for t in range(1, len(task.kl_targets)):
-        base = task.high_distribution(t)
-        target = task.kl_targets[t]
-        if target <= 0.0:
-            table[t] = base
-            continue
-        if t in task.critical_steps:
-            poison = frozenset(range(n_actions)) - task.advancing[t]
-            direction = _concentrated(n_actions, poison, 1.0)
-        else:
-            direction = np.full(n_actions, 1.0 / n_actions)
-        reachable = kl_divergence(direction, base)
-        if reachable < target:
-            unreachable[t] = (
-                f"divergence target {target:.4g} unreachable (max {reachable:.4g}); "
-                "lower divergence_high or flatten the high policy"
-            )
-            continue
-        rows.append(t)
-        bases.append(base)
-        directions.append(direction)
-    if not rows:
-        return table, unreachable
 
-    base, direction = np.array(bases), np.array(directions)
-    target = np.array([[task.kl_targets[t]] for t in rows])
-    lo, hi = np.zeros_like(target), np.ones_like(target)
+    Returns one ``(table, unreachable)`` pair per task; the tasks must come
+    from one EnvConfig, so they share one action count.
+    """
+    n_actions = tasks[0].n_actions
+    lengths = [len(task.kl_targets) for task in tasks]
+    starts = np.cumsum([0] + lengths[:-1])
+    advancing = [on for task in tasks for on in task.advancing]
+    on = np.zeros((len(advancing), n_actions), dtype=bool)
+    on[[r for r, acts in enumerate(advancing) for _ in acts],
+       [a for acts in advancing for a in acts]] = True
+    critical = np.zeros(len(advancing), dtype=bool)
+    critical[[s + t for s, task in zip(starts, tasks) for t in task.critical_steps]] = True
+    steps = np.ones(len(advancing), dtype=bool)
+    steps[starts] = False  # row 0 of each task is unused
+    target = np.array([x for task in tasks for x in task.kl_targets])
+    mass = np.array([x for task in tasks for x in task.concentration])
+
+    # The same arithmetic as TaskSpec.high_distribution and _concentrated.
+    n_on = on.sum(axis=1)
+    n_off = n_actions - n_on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        base = np.where(on, (mass / n_on)[:, None], ((1.0 - mass) / n_off)[:, None])
+        everywhere = n_off == 0
+        base[everywhere] /= base[everywhere].sum(axis=1, keepdims=True)
+        direction = np.where(critical[:, None], np.where(on, 0.0, 1.0 / n_off[:, None]),
+                             1.0 / n_actions)
+    reachable = _kl_rows(direction, base)
+    shifted = steps & (target > 0.0)  # the rows where low parts from high
+    out_of_reach = shifted & (reachable < target)
+    rows = shifted & ~out_of_reach
+
+    table = np.where((steps & ~shifted)[:, None], base, np.nan)
+    base, direction, goal = base[rows], direction[rows], target[rows, None]
+    lo, hi = np.zeros_like(goal), np.ones_like(goal)
     # A mixture entry is 0 only once mid rounds to 1.0, which needs hi == 1.0;
     # its 0*log(0) is NaN, fails the test and leaves hi at 1.0, the same
     # verdict as a KL that skips zero entries.
@@ -370,14 +387,23 @@ def _solve_low_table(task: TaskSpec) -> tuple[np.ndarray, dict[int, str]]:
         for _ in range(80):
             mid = 0.5 * (lo + hi)
             mix = (1.0 - mid) * base + mid * direction
-            below = (mix * np.log(mix / base)).sum(axis=1, keepdims=True) < target
+            below = (mix * np.log(mix / base)).sum(axis=1, keepdims=True) < goal
             new_lo = np.where(below, mid, lo)
             new_hi = np.where(below, hi, mid)
             if (new_lo == lo).all() and (new_hi == hi).all():
                 break  # a fixed point: every later iteration would repeat this one
             lo, hi = new_lo, new_hi
     table[rows] = (1.0 - hi) * base + hi * direction
-    return table, unreachable
+
+    unreachable: list[dict[int, str]] = [{} for _ in tasks]
+    owner = np.repeat(np.arange(len(tasks)), lengths)
+    for r in np.flatnonzero(out_of_reach):
+        i = owner[r]
+        unreachable[i][int(r - starts[i])] = (
+            f"divergence target {target[r]:.4g} unreachable (max {reachable[r]:.4g}); "
+            "lower divergence_high or flatten the high policy"
+        )
+    return list(zip(np.split(table, starts[1:]), unreachable))
 
 
 class SyntheticPolicy:
@@ -571,9 +597,12 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     """Run ``(driver, episode_seed, sample_index)`` members in lockstep.
 
     Each distinct episode seed is reset once, so its members share one task
-    instance and one low-policy table. Every live member has taken the same
-    number of steps, so each round's router decisions go through each
-    router as one stack. A member's sampling streams are keyed by its
+    instance and one low-policy table. The tables of every seed with a
+    member that can query the low policy (any driver but FixedHigh) are
+    solved in one ``_solve_low_tables`` call before the first step; a
+    FixedHigh-only seed's table is never built. Every live member has taken
+    the same number of steps, so each round's router decisions go through
+    each router as one stack. A member's sampling streams are keyed by its
     episode seed and sample index, never by its place in ``members``, so
     each trajectory is bitwise equal to the member's own ``rollout``.
     """
@@ -593,6 +622,11 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
         else:
             start = starts[episode_seed] = reset(config, episode_seed)
         episodes.append(_episode(pair, driver, start, master_seed, k, member_dim))
+    low_seeds = dict.fromkeys(s for driver, s, _ in members if not isinstance(driver, FixedHigh))
+    if low_seeds:
+        tasks = [starts[s].task for s in low_seeds]
+        for task, solved in zip(tasks, _solve_low_tables(tasks)):
+            task.__dict__["_low_table"] = solved  # where the cached_property keeps it
     trajectories: list[Trajectory | None] = [None] * len(episodes)
     requests: dict[int, StepSequence] = {}  # member -> sequence awaiting a decision
 
@@ -630,9 +664,10 @@ def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: i
 
 
 # Episode seeds that run_drivers steps together. A larger chunk makes larger
-# router stacks but holds more live episodes: on a 2-core VM a 200-seed,
-# 8-spec sweep took 2.4 / 1.5 / 1.7 s at chunks of 4 / 16 / 64, peaking at
-# 57 / 62 / 81 MB.
+# router stacks and low-table solves but holds more live episodes: on a
+# 2-core shared VM a 200-seed, 8-spec sweep took a median 1.5 / 1.4 / 1.2 s
+# (best of 3, five runs each) at chunks of 4 / 16 / 64, peaking at
+# 53 / 57 / 76 MB.
 EPISODE_CHUNK = 16
 
 
@@ -656,15 +691,18 @@ def run_drivers(config: EnvConfig, pair: PolicyPair, drivers, episode_seeds,
     """
     drivers = list(drivers)
     seeds = [int(s) for s in episode_seeds]
-    # Smaller chunks when there are too few seeds to give every worker one.
-    per_worker = -(-len(seeds) // max(workers, 1))
-    size = max(1, min(EPISODE_CHUNK, per_worker))
+    # Under fork a pool starts all its workers at its first submit, so it
+    # never asks for more than there are CPUs or chunks.
+    processes = max(1, min(workers, os.cpu_count() or 1))
+    # Smaller chunks when there are too few seeds to give every process one.
+    per_process = -(-len(seeds) // processes)
+    size = max(1, min(EPISODE_CHUNK, per_process))
     jobs = [(config, pair, drivers, seeds[i:i + size], master_seed, embed_dim)
             for i in range(0, len(seeds), size)]
-    if workers <= 1:
+    if workers <= 1 or len(jobs) <= 1:
         chunks = [_chunk_job(j) for j in jobs]
     else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(processes, len(jobs))) as pool:
             chunks = list(pool.map(_chunk_job, jobs))
     return [[traj for chunk in chunks for traj in chunk[j]] for j in range(len(drivers))]
 

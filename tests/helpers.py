@@ -1,5 +1,6 @@
-"""Shared test utilities: central finite differences, relative error and
-a writer of the retired version-1 checkpoint layout."""
+"""Shared test utilities: central finite differences, relative error, a
+writer of the retired version-1 checkpoint layout and a recorder of
+low-policy table solves."""
 
 import struct
 
@@ -62,3 +63,15 @@ def write_version1_checkpoint(params, path):
         for _, tensor in params.tensors():
             f.write(struct.pack("<II", *tensor.value.shape))
             f.write(tensor.value.astype("<f8").tobytes())
+
+
+def record_low_solves(monkeypatch, env_module):
+    """Patch the low-policy table solver to record the tasks of each call.
+
+    Returns the list of calls, each the list of tasks solved together.
+    """
+    calls = []
+    solve = env_module._solve_low_tables
+    monkeypatch.setattr(env_module, "_solve_low_tables",
+                        lambda tasks: calls.append(list(tasks)) or solve(tasks))
+    return calls

@@ -32,11 +32,14 @@ from mixroute.env import (
     reset,
     rollout,
     rollout_lockstep,
+    run_drivers,
     run_episodes,
     step,
 )
 from mixroute import env as env_module
 from mixroute.router import RouterConfig, RouterParams
+
+from helpers import record_low_solves
 
 
 @pytest.fixture(scope="module")
@@ -263,6 +266,43 @@ def test_low_table_matches_scalar_bisection(name):
     assert compared > 0
 
 
+@pytest.mark.parametrize("name", sorted(ORACLE_WORLDS))
+def test_low_tables_solved_together_equal_each_solved_alone(name):
+    tasks = [reset(ORACLE_WORLDS[name], seed).task for seed in range(25)]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        together = env_module._solve_low_tables(tasks)
+        alone = [env_module._solve_low_tables([task])[0] for task in tasks]
+    assert len(together) == len(tasks)
+    for (table, unreachable), (own_table, own_unreachable) in zip(together, alone):
+        np.testing.assert_array_equal(table, own_table)  # NaN rows included
+        assert unreachable == own_unreachable
+
+
+def test_low_tables_of_a_chunk_with_tasks_that_have_no_row_to_bisect(world):
+    tasks = [reset(world, seed).task for seed in range(3)]
+    n_rows = len(tasks[0].kl_targets)
+    flat = dataclasses.replace(tasks[0], kl_targets=(0.0,) * n_rows)
+    out_of_reach = dataclasses.replace(tasks[1], kl_targets=(0.0,) + (50.0,) * (n_rows - 1))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        solved = env_module._solve_low_tables([flat, out_of_reach, tasks[2]])
+        nothing_to_bisect = env_module._solve_low_tables([flat, out_of_reach])
+        bisected_alone = env_module._solve_low_tables([tasks[2]])
+    table, unreachable = solved[0]
+    assert np.isnan(table[0]).all() and unreachable == {}
+    for t in range(1, n_rows):
+        np.testing.assert_array_equal(table[t], flat.high_distribution(t))
+    table, unreachable = solved[1]
+    assert np.isnan(table).all() and sorted(unreachable) == list(range(1, n_rows))
+    for t, message in unreachable.items():
+        assert message == outcome(oracle_low, out_of_reach, t)
+    for (table, unreachable), (other, other_unreachable) in zip(
+            solved, nothing_to_bisect + bisected_alone):
+        np.testing.assert_array_equal(table, other)
+        assert unreachable == other_unreachable
+
+
 def test_unreachable_divergence_target_rejected():
     cfg = EnvConfig(divergence_low=0.01, divergence_high=50.0)
     low = make_policy_pair(cfg).low
@@ -478,21 +518,72 @@ def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
 
 
 def test_group_members_share_one_low_table(world, pair, monkeypatch):
-    solved = []
-    solve = env_module._solve_low_table
-    monkeypatch.setattr(env_module, "_solve_low_table",
-                        lambda task: solved.append(task) or solve(task))
+    calls = record_low_solves(monkeypatch, env_module)
     seen = []
     recording = PolicyPair(high=pair.high, low=lambda state: seen.append(state) or pair.low(state))
     group = rollout_lockstep(world, recording, [(FixedLow(), 3, k) for k in range(8)])
-    assert len(solved) == 1
+    assert [len(tasks) for tasks in calls] == [1]
     # one state object per member and step, all holding the one task
     assert len({id(state) for state in seen}) == sum(t.n_steps for t in group)
     assert len({id(state.task) for state in seen}) == 1
-    solved.clear()
+    assert calls[0][0] is seen[0].task
+    calls.clear()
     for k in range(8):
         rollout(world, pair, FixedLow(), 3, sample_index=k)
-    assert len(solved) == 8
+    assert [len(tasks) for tasks in calls] == [1] * 8
+
+
+def test_lockstep_solves_low_tables_only_for_seeds_that_can_query_low(world, pair):
+    tasks = {}
+
+    def high(state):
+        tasks[state.episode_seed] = state.task
+        return pair.high(state)
+
+    recording = PolicyPair(high=high, low=pair.low)
+    rollout_lockstep(world, recording, [(FixedHigh(), 3, 0), (FixedHigh(), 3, 1),
+                                        (FixedHigh(), 4, 0), (RandomDriver(1.0), 4, 1)])
+    assert "_low_table" not in vars(tasks[3])
+    # solved up front, though a coin of p = 1 never sends a step to the low policy
+    assert "_low_table" in vars(tasks[4])
+
+
+def test_run_drivers_never_raises_for_an_unreachable_row_no_member_queries(monkeypatch):
+    cfg = EnvConfig(critical_steps=frozenset({12}), divergence_low=0.0, divergence_high=50.0)
+    calls = record_low_solves(monkeypatch, env_module)
+    fixed_high, all_high = run_drivers(cfg, make_policy_pair(cfg),
+                                       [FixedHigh(), RandomDriver(1.0)], range(20))
+    assert all(t.n_high == t.n_steps for t in fixed_high + all_high)
+    solved = [task for tasks in calls for task in tasks]
+    assert len(solved) == 20
+    assert all(12 in task._low_table[1] for task in solved)
+
+
+def test_process_pool_never_outgrows_its_chunks_or_cpus(world, pair, monkeypatch):
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(env_module, "ProcessPoolExecutor", InProcessPool)
+    serial = run_episodes(world, pair, FixedHigh(), range(20), workers=1)
+    monkeypatch.setattr(env_module.os, "cpu_count", lambda: 4)
+    assert run_episodes(world, pair, FixedHigh(), range(20), workers=5000) == serial
+    monkeypatch.setattr(env_module.os, "cpu_count", lambda: 64)
+    assert run_episodes(world, pair, FixedHigh(), range(3), workers=5000) == serial[:3]
+    monkeypatch.setattr(env_module.os, "cpu_count", lambda: None)
+    assert run_episodes(world, pair, FixedHigh(), range(20), workers=8) == serial
+    assert sizes == [4, 3, 1]  # bounded by the CPUs, by the chunks, by an unknown CPU count
 
 
 def test_parallel_rollouts_match_serial(world, pair):

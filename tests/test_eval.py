@@ -22,6 +22,7 @@ from mixroute.evaluation import (
 from mixroute.router import RouterConfig, RouterParams
 
 import ghc_cases
+from helpers import record_low_solves
 
 
 @pytest.fixture(scope="module")
@@ -213,17 +214,19 @@ def test_sweep_equals_solo_evaluations_and_rollouts(tmp_path, world, pair):
 
 
 def test_sweep_builds_and_solves_each_task_once(world, pair, monkeypatch):
-    built, solved = Counter(), []
-    build, solve = env_module._build_task, env_module._solve_low_table
+    built = Counter()
+    build = env_module._build_task
     monkeypatch.setattr(env_module, "_build_task",
                         lambda config, seed: built.update([seed]) or build(config, seed))
-    monkeypatch.setattr(env_module, "_solve_low_table",
-                        lambda task: solved.append(task) or solve(task))
+    calls = record_low_solves(monkeypatch, env_module)
     seeds = range(300, 300 + PAST_TWO_CHUNKS)
     sweep(world, pair, EVERY_KIND, len(seeds), master_seed=7, episode_seed_start=seeds[0])
     assert built == Counter(seeds)
+    solved = [task for tasks in calls for task in tasks]
     assert len(solved) <= len(seeds)
     assert len({id(task) for task in solved}) == len(solved)
+    # one solver call per lockstep chunk, for all of its seeds
+    assert [len(tasks) for tasks in calls] == [EPISODE_CHUNK, EPISODE_CHUNK, 3]
 
 
 def test_parallel_sweep_matches_serial_in_one_pool(world, pair, monkeypatch):

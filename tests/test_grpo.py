@@ -22,7 +22,7 @@ from mixroute.grpo import (
 )
 from mixroute.router import RouterConfig, RouterParams, StepSequence
 
-from helpers import max_relative_error
+from helpers import max_relative_error, record_low_solves
 
 TINY = RouterConfig(embed_dim=4, num_layers=2, num_heads=2, ffn_dim=8, max_len=4)
 
@@ -383,11 +383,8 @@ def test_train_grpo_lockstep_matches_solo_rollouts(monkeypatch):
 def test_train_grpo_solves_each_group_task_once(monkeypatch):
     env = EnvConfig()
     pair = make_policy_pair(env)
-    solved = []
-    solve = env_module._solve_low_table
-    monkeypatch.setattr(env_module, "_solve_low_table",
-                        lambda task: solved.append(task) or solve(task))
+    calls = record_low_solves(monkeypatch, env_module)
     init = RouterParams.initialize(RouterConfig(), seed=2)
     train_grpo(env, pair, init, GRPOConfig(group_size=8, episode_budget=24, seed=1))
-    assert [task.task_id for task in solved] == [
-        reset(env, seed).task.task_id for seed in range(3)]
+    assert [[task.task_id for task in tasks] for tasks in calls] == [
+        [reset(env, seed).task.task_id] for seed in range(3)]
