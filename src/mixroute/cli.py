@@ -24,7 +24,7 @@ import numpy as np
 
 from . import evaluation, grpo, klst
 from .config import ConfigValidationError, RunConfig, load_run_config
-from .env import FixedLow, KlstCollect, make_policy_pair, run_drivers
+from .env import EnvConfigError, FixedLow, KlstCollect, make_policy_pair, run_drivers
 from .evaluation import BaselineSpec, sweep
 from .router import CheckpointError, RouterParams, load_params, save_params
 
@@ -418,6 +418,9 @@ def main(argv=None) -> int:
     except StageError as exc:
         print(exc, file=sys.stderr)
         return exc.exit_code
+    except EnvConfigError as exc:  # a divergence target the world cannot reach
+        print(exc, file=sys.stderr)
+        return EXIT_CONFIG
     except klst.EmptyCollectionError as exc:
         print(exc, file=sys.stderr)
         return EXIT_INVARIANT

@@ -38,7 +38,7 @@ DEFAULTS: dict = {
     "env": {
         "horizon": 12,
         "actions": 6,
-        "critical_steps": None,   # explicit step indices, or null for seeded positions
+        "critical_steps": None,   # explicit step indices ([] for none), or null for seeded
         "n_critical": 2,
         "n_correct_paths": 1,
         "divergence_low": 0.01,
@@ -105,7 +105,11 @@ class RunConfig:
 
     @property
     def config_hash(self) -> str:
-        canonical = json.dumps(self.resolved, sort_keys=True)
+        """sha256 of ``resolved`` with ``workers`` at its default: the worker
+        count changes no output, so stages run with different counts share
+        their upstream artifacts."""
+        canonical = json.dumps({**self.resolved, "workers": DEFAULTS["workers"]},
+                               sort_keys=True)
         return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
 
 
@@ -207,7 +211,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         action_space=ActionSpace(_integer("env.actions", e["actions"])),
         critical_steps=(frozenset(_integer(f"env.critical_steps[{i}]", t)
                                   for i, t in enumerate(e["critical_steps"]))
-                        if e["critical_steps"] else None),
+                        if e["critical_steps"] is not None else None),
         n_critical=_integer("env.n_critical", e["n_critical"]),
         n_correct_paths=_integer("env.n_correct_paths", e["n_correct_paths"]),
         divergence_low=_real("env.divergence_low", e["divergence_low"]),

@@ -56,6 +56,9 @@ class GRPOConfig:
     def __post_init__(self):
         if self.group_size < 1:
             raise ValueError("group_size must be >= 1")
+        if self.episode_budget < self.group_size:
+            raise ValueError(f"episode_budget {self.episode_budget} is smaller than one "
+                             f"group of {self.group_size}")
         if self.beta < 0 or self.epsilon <= 0:
             raise ValueError("beta >= 0 and epsilon > 0 required")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
@@ -205,11 +208,6 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
     differ only in their sampling streams and are rolled out in lockstep.
     One update is applied per group.
     """
-    if config.episode_budget < config.group_size:
-        raise ValueError(
-            f"episode budget {config.episode_budget} smaller than one group "
-            f"of {config.group_size}"
-        )
     params = init_params.copy()
     anchor = AnchorSnapshot(init_params)
     n_groups = config.episode_budget // config.group_size

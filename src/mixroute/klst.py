@@ -228,8 +228,6 @@ class EpochMetrics:
     train_loss: float
     val_accuracy: float
     val_balanced_accuracy: float
-    val_recall_negative: float | None
-    val_recall_positive: float | None
 
 
 @dataclass
@@ -255,18 +253,9 @@ def _validation_metrics(params, records):
     labels = np.asarray([r.label for r in records], dtype=np.intp)
     preds = predict_labels(params, records)
     accuracy = float((preds == labels).mean())
-    recalls = []
-    per_class: list[float | None] = []
-    for c in (0, 1):
-        in_class = labels == c
-        if in_class.any():
-            rec = float((preds[in_class] == c).mean())
-            recalls.append(rec)
-            per_class.append(rec)
-        else:
-            per_class.append(None)
+    recalls = [float((preds[labels == c] == c).mean()) for c in (0, 1) if (labels == c).any()]
     balanced = float(np.mean(recalls)) if recalls else 0.0
-    return accuracy, balanced, per_class[0], per_class[1]
+    return accuracy, balanced
 
 
 def _minibatch_gradient(batch, params: RouterParams, weights) -> float:
@@ -332,8 +321,8 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
             for tensor in tensors:
                 adam_step(tensor, adam)
         train_loss = epoch_loss / max(len(train_records), 1)
-        acc, balanced, rec0, rec1 = _validation_metrics(params, val_records)
-        history.append(EpochMetrics(epoch, train_loss, acc, balanced, rec0, rec1))
+        acc, balanced = _validation_metrics(params, val_records)
+        history.append(EpochMetrics(epoch, train_loss, acc, balanced))
         score = balanced if config.select_by == "balanced_accuracy" else acc
         if score > best_score:
             best_score = score

@@ -12,7 +12,8 @@ from many workers at once; training (backward + adam_step) is single-writer.
 from __future__ import annotations
 
 import struct
-from dataclasses import dataclass, field, fields
+from collections.abc import ItemsView
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -98,26 +99,6 @@ class StepSequence:
         return self.embeddings.shape[0]
 
 
-@dataclass
-class EncoderLayerParams:
-    wq: ParamTensor
-    bq: ParamTensor
-    wk: ParamTensor
-    bk: ParamTensor
-    wv: ParamTensor
-    bv: ParamTensor
-    wo: ParamTensor
-    bo: ParamTensor
-    ln1_gain: ParamTensor
-    ln1_shift: ParamTensor
-    w1: ParamTensor
-    b1: ParamTensor
-    w2: ParamTensor
-    b2: ParamTensor
-    ln2_gain: ParamTensor
-    ln2_shift: ParamTensor
-
-
 def _layout(config: RouterConfig) -> list[tuple[str, tuple[int, int], int | None]]:
     """(name, shape, fan_in) of every tensor in serialization order. A tensor
     without a fan-in is a layer-norm gain (starts at 1) or shift (at 0)."""
@@ -135,49 +116,37 @@ def _layout(config: RouterConfig) -> list[tuple[str, tuple[int, int], int | None
 
 @dataclass
 class RouterParams:
-    """All learnable parameters, in the order they are serialized."""
+    """All learnable parameters by their ``_layout`` names, in its order:
+    ``positional``, ``layer{i}.<name>`` per layer, ``head_weight`` and
+    ``head_bias``."""
 
     config: RouterConfig
-    positional: ParamTensor              # (max_len, d)
-    layers: list[EncoderLayerParams] = field(default_factory=list)
-    head_weight: ParamTensor = None      # (d, K)
-    head_bias: ParamTensor = None        # (1, K)
+    by_name: dict[str, ParamTensor]
 
     @classmethod
     def initialize(cls, config: RouterConfig, seed: int = 0) -> "RouterParams":
         rng = np.random.default_rng(seed)
-        tensors = []
+        by_name = {}
         for name, (rows, cols), fan_in in _layout(config):
             if fan_in is not None:
-                tensors.append(ParamTensor.uniform(rows, cols, fan_in=fan_in, rng=rng))
+                by_name[name] = ParamTensor.uniform(rows, cols, fan_in=fan_in, rng=rng)
             elif name.endswith("_gain"):
-                tensors.append(ParamTensor.from_value(np.ones((rows, cols))))
+                by_name[name] = ParamTensor.from_value(np.ones((rows, cols)))
             else:
-                tensors.append(ParamTensor.zeros(rows, cols))
-        return cls._from_tensors(config, tensors)
+                by_name[name] = ParamTensor.zeros(rows, cols)
+        return cls(config, by_name)
 
-    @classmethod
-    def _from_tensors(cls, config: RouterConfig, tensors: list[ParamTensor]) -> "RouterParams":
-        """Params made of ``tensors``, given in ``tensors()`` order."""
-        per_layer = len(fields(EncoderLayerParams))
-        layers = [EncoderLayerParams(*tensors[1 + i * per_layer:1 + (i + 1) * per_layer])
-                  for i in range(config.num_layers)]
-        return cls(config, tensors[0], layers, tensors[-2], tensors[-1])
-
-    def tensors(self) -> list[tuple[str, ParamTensor]]:
-        values = [self.positional]
-        for lp in self.layers:
-            values += [getattr(lp, f.name) for f in fields(lp)]
-        values += [self.head_weight, self.head_bias]
-        return [(name, t) for (name, _, _), t in zip(_layout(self.config), values)]
+    def tensors(self) -> ItemsView[str, ParamTensor]:
+        """(name, tensor) pairs in serialization order."""
+        return self.by_name.items()
 
     def zero_grads(self) -> None:
-        for _, t in self.tensors():
+        for t in self.by_name.values():
             t.zero_grad()
 
     def copy(self) -> "RouterParams":
         """Deep copy of values with fresh gradient/optimizer state."""
-        return self._from_tensors(self.config, [t.copy() for _, t in self.tensors()])
+        return RouterParams(self.config, {n: t.copy() for n, t in self.by_name.items()})
 
 
 @dataclass(frozen=True)
@@ -215,10 +184,11 @@ def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
 def _add_positions(x, params: RouterParams):
     """Add P[i] to row i of every (t, d) matrix in ``x`` (one matrix or a stack)."""
     t, d = x.shape[-2:]
-    out = x + params.positional.value[:t]
+    positional = params.by_name["positional"]
+    out = x + positional.value[:t]
 
     def backward(grad_out):
-        params.positional.grad[:t] += grad_out.reshape(-1, t, d).sum(axis=0)
+        positional.grad[:t] += grad_out.reshape(-1, t, d).sum(axis=0)
         return grad_out
 
     return out, backward
@@ -244,27 +214,29 @@ def _merge_heads(m):
     return m.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _layer_forward(x, lp: EncoderLayerParams, num_heads: int):
-    """One encoder layer over a (B, t, d) stack; every step attends to all t.
+def _layer_forward(x, params: RouterParams, i: int):
+    """Encoder layer i over a (B, t, d) stack; every step attends to all t.
 
     All heads attend in one call; each head reads and writes the same
     strided columns a per-head slice would.
     """
-    q, bw_q = linear_forward(x, lp.wq, lp.bq)
-    k, bw_k = linear_forward(x, lp.wk, lp.bk)
-    v, bw_v = linear_forward(x, lp.wv, lp.bv)
+    w, at = params.by_name, f"layer{i}."
+    num_heads = params.config.num_heads
+    q, bw_q = linear_forward(x, w[at + "wq"], w[at + "bq"])
+    k, bw_k = linear_forward(x, w[at + "wk"], w[at + "bk"])
+    v, bw_v = linear_forward(x, w[at + "wv"], w[at + "bv"])
     every_key = np.ones(x.shape[-2], dtype=bool)
     heads, bw_heads = masked_attention(_split_heads(q, num_heads), _split_heads(k, num_heads),
                                        _split_heads(v, num_heads), every_key)
-    attn, bw_o = linear_forward(_merge_heads(heads), lp.wo, lp.bo)
+    attn, bw_o = linear_forward(_merge_heads(heads), w[at + "wo"], w[at + "bo"])
 
     resid1 = x + attn
-    normed1, bw_ln1 = layer_norm(resid1, lp.ln1_gain, lp.ln1_shift)
-    hidden, bw_f1 = linear_forward(normed1, lp.w1, lp.b1)
+    normed1, bw_ln1 = layer_norm(resid1, w[at + "ln1_gain"], w[at + "ln1_shift"])
+    hidden, bw_f1 = linear_forward(normed1, w[at + "w1"], w[at + "b1"])
     act, bw_act = relu(hidden)
-    ffn, bw_f2 = linear_forward(act, lp.w2, lp.b2)
+    ffn, bw_f2 = linear_forward(act, w[at + "w2"], w[at + "b2"])
     resid2 = normed1 + ffn
-    out, bw_ln2 = layer_norm(resid2, lp.ln2_gain, lp.ln2_shift)
+    out, bw_ln2 = layer_norm(resid2, w[at + "ln2_gain"], w[at + "ln2_shift"])
 
     def backward(grad):
         g = bw_ln2(grad)
@@ -281,8 +253,8 @@ def _layer_forward(x, lp: EncoderLayerParams, num_heads: int):
 def _encode_stack(x, params: RouterParams):
     """N encoder layers over a (B, t, d) stack of position-augmented inputs."""
     stack = []
-    for lp in params.layers:
-        x, bw = _layer_forward(x, lp, params.config.num_heads)
+    for i in range(params.config.num_layers):
+        x, bw = _layer_forward(x, params, i)
         stack.append(bw)
 
     def backward(grad):
@@ -311,7 +283,8 @@ def forward_probs_batch(seqs, params: RouterParams):
     x, bw_pos = _add_positions(np.stack([s.embeddings for s in seqs]), params)
     hidden, bw_enc = _encode_stack(x, params)
     pooled = hidden[:, -1:, :]  # (B, 1, d): the head runs per sequence
-    logits, bw_head = linear_forward(pooled, params.head_weight, params.head_bias)
+    logits, bw_head = linear_forward(pooled, params.by_name["head_weight"],
+                                       params.by_name["head_bias"])
     probs, bw_soft = softmax_rows(logits)
 
     def backward(dprobs) -> None:
@@ -369,26 +342,26 @@ def route(seq: StepSequence, params: RouterParams, mode: str = "greedy",
 # Little-endian binary:
 #   magic   4 bytes  b"MXRT"
 #   version u32      currently 2 (version 1 carried one more f64 after the config)
-#   config  6 x u32  (embed_dim, num_layers, num_heads, ffn_dim,
-#                     num_precisions, max_len)
-#   then, for every tensor in RouterParams.tensors() order:
+#   config  6 x u32  the RouterConfig fields named in _HEADER_FIELDS, in order
+#   then, for every tensor in _layout order (positional, each layer's 16
+#   tensors, head_weight, head_bias):
 #     rows u32, cols u32, rows*cols f64 values
 
 CHECKPOINT_MAGIC = b"MXRT"
 CHECKPOINT_VERSION = 2
-_HEADER = struct.Struct("<4sI6I")
+_HEADER_FIELDS = ("embed_dim", "num_layers", "num_heads", "ffn_dim",
+                  "num_precisions", "max_len")
+_HEADER = struct.Struct(f"<4sI{len(_HEADER_FIELDS)}I")
 _SHAPE = struct.Struct("<II")
 
 
 def save_params(params: RouterParams, path) -> None:
     cfg = params.config
     with open(path, "wb") as f:
-        f.write(_HEADER.pack(
-            CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
-            cfg.embed_dim, cfg.num_layers, cfg.num_heads, cfg.ffn_dim,
-            cfg.num_precisions, cfg.max_len,
-        ))
-        for _, tensor in params.tensors():
+        f.write(_HEADER.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION,
+                             *(getattr(cfg, name) for name in _HEADER_FIELDS)))
+        for name, _, _ in _layout(cfg):
+            tensor = params.by_name[name]
             rows, cols = tensor.value.shape
             f.write(_SHAPE.pack(rows, cols))
             f.write(np.ascontiguousarray(tensor.value, dtype="<f8").tobytes())
@@ -399,24 +372,20 @@ def load_params(path, config: RouterConfig | None = None) -> RouterParams:
         blob = f.read()
     if len(blob) < _HEADER.size or blob[:4] != CHECKPOINT_MAGIC:
         raise CorruptCheckpointError(f"{path}: not a router checkpoint")
-    (_, version, embed_dim, num_layers, num_heads, ffn_dim,
-     num_precisions, max_len) = _HEADER.unpack_from(blob, 0)
+    _, version, *header = _HEADER.unpack_from(blob, 0)
     if version != CHECKPOINT_VERSION:
         raise CheckpointVersionError(
             f"{path}: checkpoint version {version}, expected {CHECKPOINT_VERSION}"
         )
     try:
-        stored = RouterConfig(
-            embed_dim=embed_dim, num_layers=num_layers, num_heads=num_heads,
-            ffn_dim=ffn_dim, num_precisions=num_precisions, max_len=max_len,
-        )
+        stored = RouterConfig(**dict(zip(_HEADER_FIELDS, header)))
     except ValueError as exc:
         raise CorruptCheckpointError(f"{path}: header stores an unusable config ({exc})") from None
     if config is not None and config != stored:
         raise CheckpointConfigError(
             f"{path}: stored config {stored} does not match expected {config}"
         )
-    tensors = []
+    by_name = {}
     offset = _HEADER.size
     for name, shape, _ in _layout(stored):
         if offset + _SHAPE.size > len(blob):
@@ -430,10 +399,10 @@ def load_params(path, config: RouterConfig | None = None) -> RouterParams:
         nbytes = rows * cols * 8
         if offset + nbytes > len(blob):
             raise CorruptCheckpointError(f"{path}: truncated inside {name}")
-        tensors.append(ParamTensor.from_value(np.frombuffer(
+        by_name[name] = ParamTensor.from_value(np.frombuffer(
             blob, dtype="<f8", count=rows * cols, offset=offset
-        ).reshape(rows, cols)))
+        ).reshape(rows, cols))
         offset += nbytes
     if offset != len(blob):
         raise CorruptCheckpointError(f"{path}: {len(blob) - offset} trailing bytes")
-    return RouterParams._from_tensors(stored, tensors)
+    return RouterParams(stored, by_name)

@@ -63,6 +63,14 @@ def test_load_run_config_defaults():
     assert cfg.reward.lambda_high == 0.02
 
 
+def test_empty_critical_steps_is_an_explicit_empty_set(tmp_path):
+    """[] names no critical step; only null seeds them per episode."""
+    path = tmp_path / "config.yaml"
+    path.write_text("env:\n  critical_steps: []\n")
+    assert load_run_config(path).env.critical_steps == frozenset()
+    assert load_run_config(None).env.critical_steps is None
+
+
 def test_config_collects_every_violation():
     with pytest.raises(ConfigValidationError) as err:
         load_run_config(None, {
@@ -160,18 +168,21 @@ def _latin1_config(tmp_path, out):
     lambda tmp_path, out: (write_config(tmp_path, out, **{"grpo.learning_rate": 1e200,
                                                           "grpo.lr_scale": 1e200}),
                            "grpo.learning_rate"),
+    lambda tmp_path, out: (write_config(tmp_path, out, **{"grpo.episode_budget": 4,
+                                                          "grpo.group_size": 8}),
+                           "episode_budget 4"),
 ], ids=["str-episodes", "str-workers", "str-seed", "float-episodes", "float-embed-dim",
         "bool-eval-episodes", "directory", "not-utf8", "int-output-dir",
         "negative-seed-start", "bool-lr-scale", "bool-random-ps", "nan-divergence",
         "nan-klst-lr", "inf-grpo-lr", "str-tau", "negative-klst-lr", "zero-klst-lr",
-        "overflowing-grpo-lr"])
+        "overflowing-grpo-lr", "budget-below-group"])
 def test_unusable_config_exits_2_naming_it(tmp_path, capsys, make_config):
     """A value an integer key cannot take as it stands, a float key given a
     bool, a non-finite or a non-numeric value, a learning rate that is not
     finite and > 0 (for stage 2, after lr_scale), a negative eval seed, an
-    output_dir that is not a path, or a config file that cannot be read, is
-    a config error naming the key or the file; nothing is converted,
-    truncated or run."""
+    output_dir that is not a path, a GRPO episode budget below one group, or
+    a config file that cannot be read, is a config error naming the key or
+    the file; nothing is converted, truncated or run."""
     out = tmp_path / "out"
     cfg, named = make_config(tmp_path, out)
     assert main(["--config", str(cfg), "calibrate"]) == EXIT_CONFIG
@@ -206,6 +217,17 @@ def test_calibrate_equal_divergences_is_a_config_error(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out, **{"env.divergence_high": 0.01})
     assert main(["--config", str(cfg), "calibrate"]) == EXIT_CONFIG
+
+
+def test_unreachable_divergence_target_exits_2(tmp_path, capsys):
+    """A divergence_high that the low policy cannot reach is a config error
+    for each stage that rolls the world out; no stage writes a manifest."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out, **{"env.divergence_high": 50.0})
+    for stage in ("calibrate", "collect", "eval"):
+        assert main(["--config", str(cfg), stage]) == EXIT_CONFIG
+        assert "divergence target" in capsys.readouterr().err
+    assert not list(out.rglob("manifest.json"))
 
 
 def test_calibrate_degenerate_divergence_gap_fails_invariants(tmp_path):
@@ -404,6 +426,15 @@ def test_config_hash_mismatch_guard(tmp_path):
     cfg_b = tmp_path / "config_b.yaml"
     cfg_b.write_text(yaml.safe_dump(small_config(out, **{"klst.tau": 0.78})))
     assert main(["--config", str(cfg_b), "train-klst"]) == EXIT_CONFIG
+
+
+def test_workers_take_no_part_in_the_config_hash(tmp_path):
+    """The worker count changes no output, so a stage run with --workers 2
+    feeds the next stage run without it."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "--workers", "2", "collect"]) == EXIT_OK
+    assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
 
 
 @pytest.mark.parametrize("argv, overrides", [

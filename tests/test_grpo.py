@@ -86,8 +86,8 @@ def test_group_advantages_mean_and_std():
 
 def _head_only_params(bias):
     params = RouterParams.initialize(TINY, seed=0)
-    params.head_weight.value[:] = 0.0
-    params.head_bias.value[:] = bias
+    params.by_name["head_weight"].value[:] = 0.0
+    params.by_name["head_bias"].value[:] = bias
     return params
 
 

@@ -237,7 +237,6 @@ def test_train_klst_all_negative_degenerates_gracefully():
                         KlstTrainConfig(epochs=3, learning_rate=1e-2, seed=0))
     last = result.metrics[-1]
     assert last.val_accuracy == 1.0
-    assert last.val_recall_positive is None  # undefined, reported as such
 
 
 def test_train_klst_deterministic():

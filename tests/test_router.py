@@ -1,5 +1,6 @@
 """Router: positions, pooling, routing head, checkpoints."""
 
+import hashlib
 import math
 import struct
 
@@ -28,7 +29,13 @@ from mixroute.router import (
 
 from helpers import write_version1_checkpoint
 
-SMALL = RouterConfig(embed_dim=8, num_layers=2, num_heads=2, ffn_dim=16, max_len=6)
+
+def with_layers(num_layers):
+    return RouterConfig(embed_dim=8, num_layers=num_layers, num_heads=2, ffn_dim=16,
+                        max_len=6)
+
+
+SMALL = with_layers(2)
 
 
 @pytest.fixture
@@ -56,7 +63,7 @@ def test_step_sequence_rejects_bad_masks():
 
 
 def test_add_positions_zero_positions(params):
-    params.positional.value[:] = 0.0
+    params.by_name["positional"].value[:] = 0.0
     x = np.random.default_rng(0).normal(size=(4, 8))
     out, _ = _add_positions(x, params)
     np.testing.assert_array_equal(out, x)
@@ -64,7 +71,7 @@ def test_add_positions_zero_positions(params):
 
 def test_add_positions_zero_input(params):
     out, _ = _add_positions(np.zeros((3, 8)), params)
-    np.testing.assert_array_equal(out, params.positional.value[:3])
+    np.testing.assert_array_equal(out, params.by_name["positional"].value[:3])
 
 
 def test_add_positions_truncates_oldest_first(params):
@@ -74,7 +81,7 @@ def test_add_positions_truncates_oldest_first(params):
     seq = truncate_sequence(seq_of(x), SMALL.max_len)
     out, _ = _add_positions(seq.embeddings, params)
     assert out.shape == (SMALL.max_len, 8)
-    np.testing.assert_array_equal(out, x[3:] + params.positional.value)
+    np.testing.assert_array_equal(out, x[3:] + params.by_name["positional"].value)
 
 
 def test_truncation_consistency(params):
@@ -101,23 +108,24 @@ def test_pool_last_valid(params):
     for rows in (x, x[:3], x[:1]):
         seq = seq_of(rows)
         h = hidden_states(seq, params)
-        logits, _ = linear_forward(h[-1:], params.head_weight, params.head_bias)
+        logits, _ = linear_forward(h[-1:], params.by_name["head_weight"],
+                                   params.by_name["head_bias"])
         expected, _ = softmax_rows(logits)
         probs, _ = forward_probs(seq, params)
         np.testing.assert_array_equal(probs, expected[0])
 
 
 def test_route_greedy_tie_breaks_to_cheap(params):
-    params.head_weight.value[:] = 0.0
-    params.head_bias.value[:] = 0.0
+    params.by_name["head_weight"].value[:] = 0.0
+    params.by_name["head_bias"].value[:] = 0.0
     decision = route(seq_of(np.ones((2, 8))), params, mode="greedy")
     np.testing.assert_allclose(decision.probs, [0.5, 0.5], atol=1e-15)
     assert decision.chosen == 0
 
 
 def test_route_bias_closed_form(params):
-    params.head_weight.value[:] = 0.0
-    params.head_bias.value[:] = [0.0, math.log(3.0)]
+    params.by_name["head_weight"].value[:] = 0.0
+    params.by_name["head_bias"].value[:] = [0.0, math.log(3.0)]
     decision = route(seq_of(np.ones((3, 8))), params, mode="greedy")
     np.testing.assert_allclose(decision.probs, [0.25, 0.75], atol=1e-12)
     assert decision.chosen == 1
@@ -134,14 +142,14 @@ def test_route_head_shift_invariance(params):
     rng = np.random.default_rng(9)
     x = rng.normal(size=(3, 8))
     base = route(seq_of(x), params).probs
-    params.head_bias.value += 12.34  # constant shift of every logit
+    params.by_name["head_bias"].value += 12.34  # constant shift of every logit
     shifted = route(seq_of(x), params).probs
     assert np.max(np.abs(base - shifted)) < 1e-9
 
 
 def test_route_sampled_frequency(params):
-    params.head_weight.value[:] = 0.0
-    params.head_bias.value[:] = [0.0, math.log(3.0)]  # probs [0.25, 0.75]
+    params.by_name["head_weight"].value[:] = 0.0
+    params.by_name["head_bias"].value[:] = [0.0, math.log(3.0)]  # probs [0.25, 0.75]
     rng = np.random.default_rng(123)
     seq = seq_of(np.ones((2, 8)))
     draws = np.array([route(seq, params, "sampled", rng).chosen for _ in range(10_000)])
@@ -157,17 +165,45 @@ def test_route_sampled_requires_rng(params):
         route(seq_of(np.ones((1, 8))), params, mode="sampled")
 
 
-def test_checkpoint_round_trip(tmp_path, params):
+# sha256 of save_params(RouterParams.initialize(with_layers(L), seed=7)): the
+# header and tensor order of the file format, pinned byte for byte.
+CHECKPOINT_SHA256 = {
+    1: "1fb04ae6dd621282bbfed942bf0ae733680ee5971adbadf4367935573744803c",
+    2: "57f20794bc08d116f849a29416f7e1e9635093603244e0239a7ba0480c35b1ec",
+    3: "9e73f39c674c4300c76874c5a23e09baeb72817ce0ee1dd508d042159fbcc4c8",
+}
+
+
+@pytest.mark.parametrize("num_layers", sorted(CHECKPOINT_SHA256))
+def test_checkpoint_bytes_are_pinned(tmp_path, num_layers):
+    path = tmp_path / "router.ckpt"
+    save_params(RouterParams.initialize(with_layers(num_layers), seed=7), path)
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == CHECKPOINT_SHA256[num_layers]
+
+
+def test_misspelt_tensor_name_is_a_key_error(tmp_path, params):
+    params.by_name["layer1.wqq"] = params.by_name.pop("layer1.wq")
+    with pytest.raises(KeyError, match="layer1.wq"):
+        forward_probs(seq_of(np.ones((2, 8))), params)
+    with pytest.raises(KeyError, match="layer1.wq"):
+        save_params(params, tmp_path / "router.ckpt")
+
+
+def test_checkpoint_round_trip(tmp_path):
     rng = np.random.default_rng(10)
     x = rng.normal(size=(4, 8))
-    before = route(seq_of(x), params)
-    path = tmp_path / "router.ckpt"
-    save_params(params, path)
-    loaded = load_params(path, SMALL)
-    after = route(seq_of(x), loaded)
-    assert (before.probs == after.probs).all()
-    for (_, a), (_, b) in zip(params.tensors(), loaded.tensors()):
-        assert (a.value == b.value).all()
+    for num_layers in (1, 2, 3):
+        config = with_layers(num_layers)
+        params = RouterParams.initialize(config, seed=0)
+        before = route(seq_of(x), params)
+        path = tmp_path / f"router{num_layers}.ckpt"
+        save_params(params, path)
+        loaded = load_params(path, config)
+        after = route(seq_of(x), loaded)
+        assert (before.probs == after.probs).all()
+        assert [n for n, _ in loaded.tensors()] == [n for n, _ in params.tensors()]
+        for (_, a), (_, b) in zip(params.tensors(), loaded.tensors()):
+            assert (a.value == b.value).all()
 
 
 def test_checkpoint_config_mismatch(tmp_path, params):
@@ -225,29 +261,31 @@ def test_checkpoint_trailing_bytes(tmp_path, params):
         load_params(path, SMALL)
 
 
-def test_copy_is_bitwise_and_shares_no_buffer(params):
-    rng = np.random.default_rng(13)
-    for _, t in params.tensors():  # give the original state worth keeping
-        t.grad[:] = rng.normal(size=t.shape)
-        t.adam_m[:] = rng.normal(size=t.shape)
-        t.adam_v[:] = rng.uniform(size=t.shape)
-        t.step_count = 3
-    before = [(t.value.copy(), t.grad.copy(), t.adam_m.copy(), t.adam_v.copy())
-              for _, t in params.tensors()]
-    clone = params.copy()
-    assert clone.config == params.config
-    assert [n for n, _ in clone.tensors()] == [n for n, _ in params.tensors()]
-    for (_, src), (_, dst) in zip(params.tensors(), clone.tensors()):
-        assert dst.value.tobytes() == src.value.tobytes()
-        assert not dst.grad.any() and not dst.adam_m.any() and not dst.adam_v.any()
-        assert dst.step_count == 0
-        for buf in (dst.value, dst.grad, dst.adam_m, dst.adam_v):
-            buf += 1.0
-        dst.step_count = 9
-    for (_, t), (value, grad, m, v) in zip(params.tensors(), before):
-        for buf, kept in ((t.value, value), (t.grad, grad), (t.adam_m, m), (t.adam_v, v)):
-            np.testing.assert_array_equal(buf, kept)
-        assert t.step_count == 3
+def test_copy_is_bitwise_and_shares_no_buffer():
+    for num_layers in (1, 2, 3):
+        params = RouterParams.initialize(with_layers(num_layers), seed=0)
+        rng = np.random.default_rng(13)
+        for _, t in params.tensors():  # give the original state worth keeping
+            t.grad[:] = rng.normal(size=t.shape)
+            t.adam_m[:] = rng.normal(size=t.shape)
+            t.adam_v[:] = rng.uniform(size=t.shape)
+            t.step_count = 3
+        before = [(t.value.copy(), t.grad.copy(), t.adam_m.copy(), t.adam_v.copy())
+                  for _, t in params.tensors()]
+        clone = params.copy()
+        assert clone.config == params.config
+        assert [n for n, _ in clone.tensors()] == [n for n, _ in params.tensors()]
+        for (_, src), (_, dst) in zip(params.tensors(), clone.tensors()):
+            assert dst.value.tobytes() == src.value.tobytes()
+            assert not dst.grad.any() and not dst.adam_m.any() and not dst.adam_v.any()
+            assert dst.step_count == 0
+            for buf in (dst.value, dst.grad, dst.adam_m, dst.adam_v):
+                buf += 1.0
+            dst.step_count = 9
+        for (_, t), (value, grad, m, v) in zip(params.tensors(), before):
+            for buf, kept in ((t.value, value), (t.grad, grad), (t.adam_m, m), (t.adam_v, v)):
+                np.testing.assert_array_equal(buf, kept)
+            assert t.step_count == 3
 
 
 def test_truncate_sequence_noop_within_limit():
