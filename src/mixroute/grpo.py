@@ -54,8 +54,8 @@ class GRPOConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.group_size < 1:
-            raise ValueError("group_size must be >= 1")
+        if self.group_size < 2:
+            raise ValueError("group_size must be >= 2: a group of one has no advantage")
         if self.episode_budget < self.group_size:
             raise ValueError(f"episode_budget {self.episode_budget} is smaller than one "
                              f"group of {self.group_size}")
@@ -75,8 +75,6 @@ def group_advantages(returns, epsilon: float = 1e-8) -> np.ndarray:
     r = np.asarray(list(returns), dtype=np.float64)
     if r.size == 0:
         raise ValueError("empty return list")
-    if r.size == 1:
-        return np.zeros(1)
     return (r - r.mean()) / (r.std() + epsilon)
 
 

@@ -3,7 +3,9 @@
 A 2-layer post-norm Transformer encoder over step embeddings with learned
 absolute positional embeddings, self-attention, last-token pooling and a
 K-way softmax head. Index 0 is the cheap (low-precision) policy, index 1
-the expensive (high-precision) one.
+the expensive (high-precision) one. The head reads only the last step, so
+the last layer computes keys and values for every step, the rest for the
+final two only.
 
 route() against a params snapshot that nobody is training is safe to call
 from many workers at once; training (backward + adam_step) is single-writer.
@@ -214,15 +216,18 @@ def _merge_heads(m):
     return m.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
 
 
-def _layer_forward(x, params: RouterParams, i: int):
-    """Encoder layer i over a (B, t, d) stack; every step attends to all t.
+def _layer_forward(x, params: RouterParams, i: int, queries: int):
+    """Encoder layer i over a (B, t, d) stack, computed for its last
+    ``queries`` rows: each attends to all t steps, which give every key and
+    value. Returns those (B, queries, d) rows.
 
     All heads attend in one call; each head reads and writes the same
     strided columns a per-head slice would.
     """
     w, at = params.by_name, f"layer{i}."
     num_heads = params.config.num_heads
-    q, bw_q = linear_forward(x, w[at + "wq"], w[at + "bq"])
+    rows = x[:, -queries:, :]
+    q, bw_q = linear_forward(rows, w[at + "wq"], w[at + "bq"])
     k, bw_k = linear_forward(x, w[at + "wk"], w[at + "bk"])
     v, bw_v = linear_forward(x, w[at + "wv"], w[at + "bv"])
     every_key = np.ones(x.shape[-2], dtype=bool)
@@ -230,7 +235,7 @@ def _layer_forward(x, params: RouterParams, i: int):
                                        _split_heads(v, num_heads), every_key)
     attn, bw_o = linear_forward(_merge_heads(heads), w[at + "wo"], w[at + "bo"])
 
-    resid1 = x + attn
+    resid1 = rows + attn
     normed1, bw_ln1 = layer_norm(resid1, w[at + "ln1_gain"], w[at + "ln1_shift"])
     hidden, bw_f1 = linear_forward(normed1, w[at + "w1"], w[at + "b1"])
     act, bw_act = relu(hidden)
@@ -244,17 +249,27 @@ def _layer_forward(x, params: RouterParams, i: int):
         g_resid1 = bw_ln1(g_normed1)
         g_concat = bw_o(g_resid1)
         gq, gk, gv = bw_heads(_split_heads(g_concat, num_heads))
-        return (g_resid1 + bw_q(_merge_heads(gq)) + bw_k(_merge_heads(gk))
-                + bw_v(_merge_heads(gv)))
+        g_x = np.zeros_like(x)
+        g_x[:, -queries:, :] = g_resid1 + bw_q(_merge_heads(gq))
+        g_x += bw_k(_merge_heads(gk))
+        g_x += bw_v(_merge_heads(gv))
+        return g_x
 
     return out, backward
 
 
 def _encode_stack(x, params: RouterParams):
-    """N encoder layers over a (B, t, d) stack of position-augmented inputs."""
+    """N encoder layers over a (B, t, d) stack of position-augmented inputs.
+
+    Returns only the final min(t, 2) rows, the only ones the last layer
+    computes. The head reads one; the second keeps that row's products
+    matrix-matrix, since numpy hands a one-row product to BLAS's
+    matrix-vector routine, which rounds differently.
+    """
     stack = []
+    t, last = x.shape[-2], params.config.num_layers - 1
     for i in range(params.config.num_layers):
-        x, bw = _layer_forward(x, params, i)
+        x, bw = _layer_forward(x, params, i, min(t, 2) if i == last else t)
         stack.append(bw)
 
     def backward(grad):

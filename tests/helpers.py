@@ -1,10 +1,13 @@
 """Shared test utilities: central finite differences, relative error, a
-writer of the retired version-1 checkpoint layout and a recorder of
-low-policy table solves."""
+writer of the retired version-1 checkpoint layout, a recorder of
+low-policy table solves and the all-rows router forward."""
 
 import struct
 
 import numpy as np
+
+from mixroute.nn import layer_norm, linear_forward, masked_attention, relu, softmax_rows
+from mixroute.router import _add_positions, _merge_heads, _split_heads, truncate_sequence
 
 
 def central_difference(f, x, h=1e-5):
@@ -75,3 +78,59 @@ def record_low_solves(monkeypatch, env_module):
     monkeypatch.setattr(env_module, "_solve_low_tables",
                         lambda tasks: calls.append(list(tasks)) or solve(tasks))
     return calls
+
+
+def _all_rows_layer(x, params, i):
+    """Encoder layer i over a (B, t, d) stack, every row computed."""
+    w, at = params.by_name, f"layer{i}."
+    num_heads = params.config.num_heads
+    q, bw_q = linear_forward(x, w[at + "wq"], w[at + "bq"])
+    k, bw_k = linear_forward(x, w[at + "wk"], w[at + "bk"])
+    v, bw_v = linear_forward(x, w[at + "wv"], w[at + "bv"])
+    every_key = np.ones(x.shape[-2], dtype=bool)
+    heads, bw_heads = masked_attention(_split_heads(q, num_heads), _split_heads(k, num_heads),
+                                       _split_heads(v, num_heads), every_key)
+    attn, bw_o = linear_forward(_merge_heads(heads), w[at + "wo"], w[at + "bo"])
+    normed1, bw_ln1 = layer_norm(x + attn, w[at + "ln1_gain"], w[at + "ln1_shift"])
+    hidden, bw_f1 = linear_forward(normed1, w[at + "w1"], w[at + "b1"])
+    act, bw_act = relu(hidden)
+    ffn, bw_f2 = linear_forward(act, w[at + "w2"], w[at + "b2"])
+    out, bw_ln2 = layer_norm(normed1 + ffn, w[at + "ln2_gain"], w[at + "ln2_shift"])
+
+    def backward(grad):
+        g = bw_ln2(grad)
+        g_normed1 = g + bw_f1(bw_act(bw_f2(g)))
+        g_resid1 = bw_ln1(g_normed1)
+        gq, gk, gv = bw_heads(_split_heads(bw_o(g_resid1), num_heads))
+        return (g_resid1 + bw_q(_merge_heads(gq)) + bw_k(_merge_heads(gk))
+                + bw_v(_merge_heads(gv)))
+
+    return out, backward
+
+
+def all_rows_forward(seqs, params):
+    """The router forward with every encoder layer run on every row, then
+    the last row pooled: the reference for ``forward_probs_batch``, whose
+    last layer computes only the rows the head reads.
+
+    Returns the (B, t, d) encoder output, the (B, K) probabilities and
+    ``backward(dprobs)``, which accumulates into the parameter gradients.
+    """
+    x = np.stack([truncate_sequence(s, params.config.max_len).embeddings for s in seqs])
+    x, bw_pos = _add_positions(x, params)
+    layers = []
+    for i in range(params.config.num_layers):
+        x, bw = _all_rows_layer(x, params, i)
+        layers.append(bw)
+    logits, bw_head = linear_forward(x[:, -1:, :], params.by_name["head_weight"],
+                                     params.by_name["head_bias"])
+    probs, bw_soft = softmax_rows(logits)
+
+    def backward(dprobs):
+        grad = np.zeros_like(x)
+        grad[:, -1:, :] = bw_head(bw_soft(np.reshape(dprobs, probs.shape)))
+        for bw in reversed(layers):
+            grad = bw(grad)
+        bw_pos(grad)
+
+    return x, probs[:, 0, :], backward

@@ -171,18 +171,22 @@ def _latin1_config(tmp_path, out):
     lambda tmp_path, out: (write_config(tmp_path, out, **{"grpo.episode_budget": 4,
                                                           "grpo.group_size": 8}),
                            "episode_budget 4"),
+    lambda tmp_path, out: (write_config(tmp_path, out, **{"grpo.group_size": 1}),
+                           "group_size must be >= 2"),
 ], ids=["str-episodes", "str-workers", "str-seed", "float-episodes", "float-embed-dim",
         "bool-eval-episodes", "directory", "not-utf8", "int-output-dir",
         "negative-seed-start", "bool-lr-scale", "bool-random-ps", "nan-divergence",
         "nan-klst-lr", "inf-grpo-lr", "str-tau", "negative-klst-lr", "zero-klst-lr",
-        "overflowing-grpo-lr", "budget-below-group"])
+        "overflowing-grpo-lr", "budget-below-group", "group-of-one"])
 def test_unusable_config_exits_2_naming_it(tmp_path, capsys, make_config):
     """A value an integer key cannot take as it stands, a float key given a
     bool, a non-finite or a non-numeric value, a learning rate that is not
     finite and > 0 (for stage 2, after lr_scale), a negative eval seed, an
-    output_dir that is not a path, a GRPO episode budget below one group, or
-    a config file that cannot be read, is a config error naming the key or
-    the file; nothing is converted, truncated or run."""
+    output_dir that is not a path, a GRPO episode budget below one group, a
+    GRPO group of one (its advantage is always 0, so stage 2 would step on
+    rounding noise alone), or a config file that cannot be read, is a config
+    error naming the key or the file; nothing is converted, truncated or
+    run."""
     out = tmp_path / "out"
     cfg, named = make_config(tmp_path, out)
     assert main(["--config", str(cfg), "calibrate"]) == EXIT_CONFIG
@@ -435,6 +439,15 @@ def test_workers_take_no_part_in_the_config_hash(tmp_path):
     cfg = write_config(tmp_path, out)
     assert main(["--config", str(cfg), "--workers", "2", "collect"]) == EXIT_OK
     assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
+
+
+def test_group_size_flag_of_one_exits_2(tmp_path, capsys):
+    """--group-size 1 is refused as the YAML key is, before any stage runs."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "train-grpo", "--group-size", "1"]) == EXIT_CONFIG
+    assert "group_size must be >= 2" in capsys.readouterr().err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("argv, overrides", [

@@ -27,7 +27,7 @@ from mixroute.router import (
     truncate_sequence,
 )
 
-from helpers import write_version1_checkpoint
+from helpers import all_rows_forward, write_version1_checkpoint
 
 
 def with_layers(num_layers):
@@ -48,11 +48,10 @@ def seq_of(rows):
 
 
 def hidden_states(seq, params):
-    """Encoder output for one sequence, computed as forward_probs_batch does:
-    truncated, position-augmented and encoded as a stack of one."""
-    seq = truncate_sequence(seq, params.config.max_len)
-    x, _ = _add_positions(seq.embeddings[None], params)
-    h, _ = _encode_stack(x, params)
+    """Encoder output of every row of one sequence, truncated and
+    position-augmented as forward_probs_batch does, every layer run on
+    every row."""
+    h, _, _ = all_rows_forward([seq], params)
     return h[0]
 
 
@@ -113,6 +112,63 @@ def test_pool_last_valid(params):
         expected, _ = softmax_rows(logits)
         probs, _ = forward_probs(seq, params)
         np.testing.assert_array_equal(probs, expected[0])
+
+
+def test_encode_stack_returns_the_final_rows_of_the_all_rows_encoder(params):
+    """The last layer computes the final min(t, 2) rows, bitwise as an
+    encoder computing every row does."""
+    x = np.random.default_rng(7).normal(size=(SMALL.max_len + 2, 8))
+    for rows in (x, x[:5], x[:2], x[:1]):
+        seq = truncate_sequence(seq_of(rows), SMALL.max_len)
+        h, _ = _encode_stack(_add_positions(seq.embeddings[None], params)[0], params)
+        np.testing.assert_array_equal(h[0], hidden_states(seq, params)[-min(seq.length, 2):])
+
+
+def _against_all_rows(seqs, params, dprobs):
+    """Probabilities of forward_probs_batch and of the all-rows encoder,
+    after holding every parameter gradient to 1e-12 of the largest entry of
+    the whole reference gradient (not of its own: bk's true gradient is 0).
+    BLAS may pick another kernel for the backward's shorter products, so
+    the gradients need not be bitwise equal."""
+    runs = []
+    for probs, backward in (forward_probs_batch(seqs, params),
+                            all_rows_forward(seqs, params)[1:]):
+        params.zero_grads()
+        backward(dprobs)
+        runs.append((probs, {name: t.grad.copy() for name, t in params.tensors()}))
+    (probs, grads), (expected, expected_grads) = runs
+    scale = max(np.abs(g).max() for g in expected_grads.values())
+    for name, grad in grads.items():
+        assert np.abs(grad - expected_grads[name]).max() <= 1e-12 * scale, name
+    return probs, expected
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_forward_probs_batch_matches_the_all_rows_encoder(num_layers):
+    """Probabilities equal bitwise those of an encoder whose last layer runs
+    on every row; gradients agree to the stated tolerance."""
+    config = with_layers(num_layers)
+    params = RouterParams.initialize(config, seed=num_layers)
+    rng = np.random.default_rng(num_layers)
+    for batch in (1, 3, 8):
+        for length in (1, 2, 3, 5, 12, config.max_len + 3):
+            seqs = [seq_of(rng.normal(size=(length, 8))) for _ in range(batch)]
+            probs, expected = _against_all_rows(
+                seqs, params, rng.normal(size=(batch, config.num_precisions)))
+            np.testing.assert_array_equal(probs, expected)
+
+
+def test_narrow_router_matches_the_all_rows_encoder_to_rounding():
+    """With embed_dim 4 in heads of 2 and 16 or more steps, OpenBLAS rounds
+    the attention's weights @ values differently for 2 query rows than for
+    all of them, so probabilities may differ from the all-rows encoder's in
+    the last bits; they stay within 1e-15."""
+    params = RouterParams.initialize(RouterConfig(embed_dim=4, num_heads=2, max_len=64), seed=2)
+    rng = np.random.default_rng(5)
+    for length in (16, 20, 64):
+        seqs = [seq_of(rng.normal(size=(length, 4))) for _ in range(8)]
+        probs, expected = _against_all_rows(seqs, params, rng.normal(size=(8, 2)))
+        np.testing.assert_allclose(probs, expected, rtol=0, atol=1e-15)
 
 
 def test_route_greedy_tie_breaks_to_cheap(params):
