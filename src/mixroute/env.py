@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import socket
 from concurrent.futures import ProcessPoolExecutor
@@ -137,7 +138,8 @@ class TaskSpec:
     kl_targets: tuple[float, ...]           # low-policy divergence target
 
     def high_distribution(self, t: int) -> np.ndarray:
-        return _concentrated(self.n_actions, self.advancing[t], self.concentration[t])
+        """Step t's high-policy distribution, a copy the caller owns."""
+        return self._high_table[t].copy()
 
     def low_distribution(self, t: int) -> np.ndarray:
         """Step t's low-policy distribution, a copy the caller owns.
@@ -150,10 +152,20 @@ class TaskSpec:
         return table[t].copy()
 
     @cached_property
+    def task_tokens(self) -> tuple[str, ...]:
+        return ("task", f"t{self.task_id}", "goal", f"g{self.goal_len}")
+
+    # The tables below are built on the first query unless rollout_lockstep
+    # stored them first, with the rest of its chunk. Like task_tokens they
+    # live and die with this task and are not fields, so they take no part
+    # in equality or hashing.
+
+    @cached_property
+    def _high_table(self) -> np.ndarray:
+        return _high_tables([self])[0]
+
+    @cached_property
     def _low_table(self) -> tuple[np.ndarray, dict[int, str]]:
-        # Solved on the first low query unless rollout_lockstep stored it
-        # first, with the rest of its chunk; lives and dies with this task and
-        # is not a field, so it takes no part in equality or hashing.
         return _solve_low_tables([self])[0]
 
 
@@ -216,7 +228,7 @@ class EnvState:
 
     @property
     def task_tokens(self) -> tuple[str, ...]:
-        return ("task", f"t{self.task.task_id}", "goal", f"g{self.task.goal_len}")
+        return self.task.task_tokens
 
     @property
     def is_critical_now(self) -> bool:
@@ -272,16 +284,8 @@ def step(state: EnvState, action: int):
     success = (not poisoned) and progress >= task.goal_len
     done = success or state.t >= state.config.horizon
     obs = _observation(task, state.t + 1, result, progress)
-    next_state = replace(
-        state,
-        t=state.t + 1,
-        progress=progress,
-        poisoned=poisoned,
-        history=state.history + ((action, obs),),
-        observation=obs,
-        terminal=done,
-        success=success,
-    )
+    next_state = EnvState(state.config, state.episode_seed, task, state.t + 1, progress,
+                          poisoned, state.history + ((action, obs),), obs, done, success)
     return next_state, list(obs), done, success
 
 
@@ -294,16 +298,33 @@ class PolicyPair:
     costs: tuple[float, float] = (0.0, 1.0)  # per-call cost (low, high)
 
 
-def _concentrated(n_actions: int, on: frozenset[int], mass: float) -> np.ndarray:
-    dist = np.zeros(n_actions)
-    on_idx = sorted(on)
-    dist[on_idx] = mass / len(on_idx)
-    rest = [a for a in range(n_actions) if a not in on]
-    if rest:
-        dist[rest] = (1.0 - mass) / len(rest)
-    else:
-        dist /= dist.sum()
-    return dist
+def _advancing_rows(tasks) -> tuple[np.ndarray, np.ndarray]:
+    """The rows of every task stacked: an (R, A) mask of each step's
+    advancing actions, and the index of each task's first row."""
+    advancing = [on for task in tasks for on in task.advancing]
+    on = np.zeros((len(advancing), tasks[0].n_actions), dtype=bool)
+    on[[r for r, acts in enumerate(advancing) for _ in acts],
+       [a for acts in advancing for a in acts]] = True
+    starts = np.cumsum([0] + [len(task.advancing) for task in tasks[:-1]])
+    return on, starts
+
+
+def _high_tables(tasks) -> list[np.ndarray]:
+    """Every step's high-policy distribution of each task, one (R, A) table
+    per task: step t puts mass concentration[t] evenly on its advancing
+    actions and the rest evenly on the others, renormalised when every
+    action advances. Row 0 is unused. The tasks must come from one
+    EnvConfig, so they share one action count.
+    """
+    on, starts = _advancing_rows(tasks)
+    mass = np.array([x for task in tasks for x in task.concentration])
+    n_on = on.sum(axis=1)
+    n_off = on.shape[1] - n_on
+    with np.errstate(divide="ignore", invalid="ignore"):
+        high = np.where(on, (mass / n_on)[:, None], ((1.0 - mass) / n_off)[:, None])
+    everywhere = n_off == 0
+    high[everywhere] /= high[everywhere].sum(axis=1, keepdims=True)
+    return np.split(high, starts[1:])
 
 
 def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -316,6 +337,28 @@ def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     return kl
 
 
+def _kl_live_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """``_kl_rows`` with each row summed over its live entries (p > 0) only.
+
+    Over enough entries numpy's pairwise sum associates a zero-filled row's
+    live terms otherwise than the row of live terms alone, so rows are
+    grouped by their count of live entries and each group is summed
+    compacted: every row's KL is the one it has alone, at any support size
+    and in any company.
+    """
+    live = p > 0.0
+    if live.all():
+        return _kl_rows(p, q)
+    counts = live.sum(axis=1)
+    kl = np.empty(len(p))
+    for n in np.unique(counts).tolist():
+        rows = counts == n
+        keep = live[rows]
+        kl[rows] = _kl_rows(p[rows][keep].reshape(len(keep), n),
+                            q[rows][keep].reshape(len(keep), n))
+    return kl
+
+
 def kl_divergence(p, q) -> float:
     """KL(p || q) for categoricals over the same support, with 0*log(0/q)=0.
 
@@ -325,10 +368,7 @@ def kl_divergence(p, q) -> float:
     q = np.asarray(q, dtype=np.float64).reshape(-1)
     if p.shape != q.shape:
         raise ValueError(f"support sizes differ: {p.shape[0]} vs {q.shape[0]}")
-    live = p > 0.0
-    # The live entries alone, so the sum adds the same terms in the same order
-    # at any support size, where a zero-filled row's pairwise sum may not.
-    return float(_kl_rows(p[None, live], q[None, live])[0])
+    return float(_kl_live_rows(p[None], q[None])[0])
 
 
 def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
@@ -350,26 +390,16 @@ def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
     from one EnvConfig, so they share one action count.
     """
     n_actions = tasks[0].n_actions
-    lengths = [len(task.kl_targets) for task in tasks]
-    starts = np.cumsum([0] + lengths[:-1])
-    advancing = [on for task in tasks for on in task.advancing]
-    on = np.zeros((len(advancing), n_actions), dtype=bool)
-    on[[r for r, acts in enumerate(advancing) for _ in acts],
-       [a for acts in advancing for a in acts]] = True
-    critical = np.zeros(len(advancing), dtype=bool)
+    on, starts = _advancing_rows(tasks)
+    critical = np.zeros(len(on), dtype=bool)
     critical[[s + t for s, task in zip(starts, tasks) for t in task.critical_steps]] = True
-    steps = np.ones(len(advancing), dtype=bool)
+    steps = np.ones(len(on), dtype=bool)
     steps[starts] = False  # row 0 of each task is unused
     target = np.array([x for task in tasks for x in task.kl_targets])
-    mass = np.array([x for task in tasks for x in task.concentration])
+    base = np.concatenate([task._high_table for task in tasks])
 
-    # The same arithmetic as TaskSpec.high_distribution and _concentrated.
-    n_on = on.sum(axis=1)
-    n_off = n_actions - n_on
-    with np.errstate(divide="ignore", invalid="ignore"):
-        base = np.where(on, (mass / n_on)[:, None], ((1.0 - mass) / n_off)[:, None])
-        everywhere = n_off == 0
-        base[everywhere] /= base[everywhere].sum(axis=1, keepdims=True)
+    n_off = n_actions - on.sum(axis=1)
+    with np.errstate(divide="ignore"):
         direction = np.where(critical[:, None], np.where(on, 0.0, 1.0 / n_off[:, None]),
                              1.0 / n_actions)
     reachable = _kl_rows(direction, base)
@@ -396,12 +426,12 @@ def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
     table[rows] = (1.0 - hi) * base + hi * direction
 
     unreachable: list[dict[int, str]] = [{} for _ in tasks]
-    owner = np.repeat(np.arange(len(tasks)), lengths)
     for r in np.flatnonzero(out_of_reach):
-        i = owner[r]
+        i = int(np.searchsorted(starts, r, side="right")) - 1
+        key = "divergence_high" if critical[r] else "divergence_low"
         unreachable[i][int(r - starts[i])] = (
             f"divergence target {target[r]:.4g} unreachable (max {reachable[r]:.4g}); "
-            "lower divergence_high or flatten the high policy"
+            f"lower {key}"
         )
     return list(zip(np.split(table, starts[1:]), unreachable))
 
@@ -443,15 +473,22 @@ def embed_step(task_tokens, action: int | None, observation_tokens, dim: int) ->
     the step's observation are hashed into ``dim`` signed buckets. A zero
     accumulation (no tokens) stays the zero vector.
     """
-    acc = np.zeros(dim)
+    counts: dict[int, int] = {}
     action_tokens = () if action is None else (f"act{action}",)
     for tok in (*task_tokens, *action_tokens, *observation_tokens):
         h = _token_hash(tok)
-        acc[(h >> 1) % dim] += 1.0 if h & 1 else -1.0
-    norm = np.linalg.norm(acc)
-    if norm == 0.0:
-        return acc
-    return acc / norm
+        bucket = (h >> 1) % dim
+        counts[bucket] = counts.get(bucket, 0) + (1 if h & 1 else -1)
+    # Integer counts are exact in any order, and their sum of squares is the
+    # exact dot product a float accumulation's norm takes the root of.
+    z = np.zeros(dim)
+    squares = 0
+    for bucket, count in counts.items():
+        z[bucket] = count
+        squares += count * count
+    if squares:
+        z /= math.sqrt(squares)
+    return z
 
 
 # --- trajectories -------------------------------------------------------------
@@ -524,15 +561,20 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
 
     At each router decision it yields the step's StepSequence and takes the
     router's probabilities back; it returns the finished Trajectory. Only
-    the RNG streams the driver draws from are built.
+    the RNG streams the driver draws from are built. Klst collection keeps a
+    copy of each step's low and high rows and computes every D_t in one pass
+    once the episode ends.
     """
     key = (state.episode_seed, sample_index)
     policy_rng = _rng(master_seed, STREAM_POLICY, *key)
     driver_rng = _rng(master_seed, STREAM_DRIVER, *key) if isinstance(driver, RandomDriver) else None
     router_rng = _rng(master_seed, STREAM_ROUTER, *key) if isinstance(driver, RouterDriver) else None
-    record_embeddings = isinstance(driver, (RouterDriver, KlstCollect))
-    steps: list[TrajStep] = []
+    collect = isinstance(driver, KlstCollect)
+    record_embeddings = collect or isinstance(driver, RouterDriver)
+    rows: list[tuple] = []  # each step's TrajStep fields but d_t
     embeddings: list[np.ndarray] = []
+    lows: list[np.ndarray] = []
+    highs: list[np.ndarray] = []
     prev_action: int | None = None
     n_high = 0
 
@@ -543,18 +585,15 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
             embeddings.append(z)
 
         choice: int | None = None
-        d_t: float | None = None
-        high_dist: np.ndarray | None = None
         if isinstance(driver, FixedLow):
             executed = LOW
         elif isinstance(driver, FixedHigh):
             executed = HIGH
         elif isinstance(driver, RandomDriver):
             executed = HIGH if driver_rng.random() < driver.p else LOW
-        elif isinstance(driver, KlstCollect):
-            low_dist = pair.low(state)
-            high_dist = pair.high(state)
-            d_t = kl_divergence(low_dist, high_dist)
+        elif collect:
+            lows.append(np.array(pair.low(state), dtype=np.float64))
+            highs.append(np.array(pair.high(state), dtype=np.float64))
             executed = HIGH
         elif isinstance(driver, RouterDriver):
             probs = yield StepSequence.of(np.asarray(embeddings))
@@ -563,32 +602,30 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
         else:
             raise TypeError(f"unknown driver {driver!r}")
 
-        if high_dist is None:
-            dist = pair.high(state) if executed == HIGH else pair.low(state)
+        if collect:
+            dist = highs[-1]
         else:
-            dist = high_dist
+            dist = pair.high(state) if executed == HIGH else pair.low(state)
         action = sample_categorical(dist, policy_rng)
         n_high += int(executed == HIGH)
-
-        steps.append(TrajStep(
-            t=state.t,
-            action=action,
-            executed=executed,
-            route_choice=choice,
-            d_t=d_t,
-            embedding=z,
-            critical=state.is_critical_now,
-        ))
+        rows.append((state.t, action, executed, choice, z, state.is_critical_now))
         prev_action = action
         state, _, _, _ = step(state, action)
 
+    d_ts: list[float | None] = [None] * len(rows)
+    if collect:
+        low, high = np.array(lows), np.array(highs)
+        if low.shape != high.shape:
+            raise ValueError(f"support sizes differ: {low.shape[1]} vs {high.shape[1]}")
+        d_ts = _kl_live_rows(low, high).tolist()
     return Trajectory(
         episode_seed=state.episode_seed,
         driver=driver.tag,
-        steps=tuple(steps),
+        steps=tuple(TrajStep(t, action, executed, choice, d_t, z, critical)
+                    for (t, action, executed, choice, z, critical), d_t in zip(rows, d_ts)),
         success=state.success,
         n_high=n_high,
-        n_steps=len(steps),
+        n_steps=len(rows),
     )
 
 
@@ -597,11 +634,12 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     """Run ``(driver, episode_seed, sample_index)`` members in lockstep.
 
     Each distinct episode seed is reset once, so its members share one task
-    instance and one low-policy table. The tables of every seed with a
-    member that can query the low policy (any driver but FixedHigh) are
-    solved in one ``_solve_low_tables`` call before the first step; a
-    FixedHigh-only seed's table is never built. Every live member has taken
-    the same number of steps, so each round's router decisions go through
+    instance and its policy tables. Before the first step one
+    ``_high_tables`` call builds every seed's high-policy table, and one
+    ``_solve_low_tables`` call solves the low-policy tables of every seed
+    with a member that can query the low policy (any driver but FixedHigh);
+    a FixedHigh-only seed's low table is never built. Every live member has
+    taken the same number of steps, so each round's router decisions go through
     each router as one stack. A member's sampling streams are keyed by its
     episode seed and sample index, never by its place in ``members``, so
     each trajectory is bitwise equal to the member's own ``rollout``.
@@ -622,11 +660,15 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
         else:
             start = starts[episode_seed] = reset(config, episode_seed)
         episodes.append(_episode(pair, driver, start, master_seed, k, member_dim))
+    # Stored where each cached_property keeps its value.
+    tasks = [start.task for start in starts.values()]
+    for task, table in zip(tasks, _high_tables(tasks)):
+        task.__dict__["_high_table"] = table
     low_seeds = dict.fromkeys(s for driver, s, _ in members if not isinstance(driver, FixedHigh))
     if low_seeds:
-        tasks = [starts[s].task for s in low_seeds]
-        for task, solved in zip(tasks, _solve_low_tables(tasks)):
-            task.__dict__["_low_table"] = solved  # where the cached_property keeps it
+        low_tasks = [starts[s].task for s in low_seeds]
+        for task, solved in zip(low_tasks, _solve_low_tables(low_tasks)):
+            task.__dict__["_low_table"] = solved
     trajectories: list[Trajectory | None] = [None] * len(episodes)
     requests: dict[int, StepSequence] = {}  # member -> sequence awaiting a decision
 

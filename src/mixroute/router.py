@@ -322,10 +322,17 @@ def forward_probs(seq: StepSequence, params: RouterParams):
 
 
 def sample_categorical(probs: np.ndarray, rng: np.random.Generator) -> int:
-    """Inverse-CDF draw consuming exactly one uniform."""
+    """Inverse-CDF draw consuming exactly one uniform: the first index whose
+    running total, summed left to right in float64 as ``np.cumsum`` sums,
+    exceeds the uniform; the last index when rounding leaves the total at or
+    below it."""
     u = rng.random()
-    cum = np.cumsum(probs)
-    return int(min(np.searchsorted(cum, u, side="right"), len(probs) - 1))
+    total = 0.0
+    for i, p in enumerate(np.asarray(probs, dtype=np.float64).tolist()):
+        total += p
+        if u < total:
+            return i
+    return len(probs) - 1
 
 
 def choose_precision(probs: np.ndarray, mode: str,

@@ -1,11 +1,13 @@
 """Shared test utilities: central finite differences, relative error, a
 writer of the retired version-1 checkpoint layout, a recorder of
-low-policy table solves and the all-rows router forward."""
+low-policy table solves, the all-rows router forward, and the numpy
+categorical draw and step embedding that the leaner ones must equal."""
 
 import struct
 
 import numpy as np
 
+from mixroute.env import _token_hash
 from mixroute.nn import layer_norm, linear_forward, masked_attention, relu, softmax_rows
 from mixroute.router import _add_positions, _merge_heads, _split_heads, truncate_sequence
 
@@ -134,3 +136,25 @@ def all_rows_forward(seqs, params):
         bw_pos(grad)
 
     return x, probs[:, 0, :], backward
+
+
+def cumsum_sample_categorical(probs, rng):
+    """The inverse-CDF draw as a cumsum and a searchsorted: one uniform, the
+    first index whose cumulative sum exceeds it, clamped to the last."""
+    u = rng.random()
+    cum = np.cumsum(probs)
+    return int(min(np.searchsorted(cum, u, side="right"), len(probs) - 1))
+
+
+def float_embed_step(task_tokens, action, observation_tokens, dim):
+    """The step embedding accumulated in a float array and divided by its
+    ``np.linalg.norm``."""
+    acc = np.zeros(dim)
+    action_tokens = () if action is None else (f"act{action}",)
+    for tok in (*task_tokens, *action_tokens, *observation_tokens):
+        h = _token_hash(tok)
+        acc[(h >> 1) % dim] += 1.0 if h & 1 else -1.0
+    norm = np.linalg.norm(acc)
+    if norm == 0.0:
+        return acc
+    return acc / norm

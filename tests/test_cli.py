@@ -234,6 +234,22 @@ def test_unreachable_divergence_target_exits_2(tmp_path, capsys):
     assert not list(out.rglob("manifest.json"))
 
 
+@pytest.mark.parametrize("tweak, key", [
+    ({"env.actions": 2}, "divergence_low"),       # every action advances off the critical steps
+    ({"env.divergence_high": 50.0}, "divergence_high"),
+], ids=["ordinary-step", "critical-step"])
+def test_unreachable_divergence_target_names_its_key(tmp_path, capsys, tweak, key):
+    """The message advises lowering the key whose target is out of reach:
+    divergence_low for an ordinary step, divergence_high for a critical one."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out, **tweak)
+    for stage in ("calibrate", "collect"):
+        assert main(["--config", str(cfg), stage]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "unreachable" in err and err.rstrip().endswith(f"lower {key}")
+    assert not list(out.rglob("manifest.json"))
+
+
 def test_calibrate_degenerate_divergence_gap_fails_invariants(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out,

@@ -3,6 +3,7 @@ rollout drivers and the remote-policy wire protocol."""
 
 import contextlib
 import dataclasses
+import hashlib
 import json
 import socketserver
 import threading
@@ -39,7 +40,7 @@ from mixroute.env import (
 from mixroute import env as env_module
 from mixroute.router import RouterConfig, RouterParams
 
-from helpers import record_low_solves
+from helpers import float_embed_step, record_low_solves
 
 
 @pytest.fixture(scope="module")
@@ -187,15 +188,16 @@ def test_high_policy_mass_on_correct_continuations(world, pair):
 
 # --- the low policy's per-task table against a scalar bisection ----------------
 
-def solve_mixture(base, direction, target_kl):
-    """Reference solver: one scalar 80-step bisection for one step."""
+def solve_mixture(base, direction, target_kl, key):
+    """Reference solver: one scalar 80-step bisection for one step; ``key``
+    names the config key whose target the step takes."""
     if target_kl <= 0.0:
         return base.copy()
     reachable = kl_divergence(direction, base)
     if reachable < target_kl:
         raise EnvConfigError(
             f"divergence target {target_kl:.4g} unreachable (max {reachable:.4g}); "
-            "lower divergence_high or flatten the high policy"
+            f"lower {key}"
         )
     lo, hi = 0.0, 1.0
     for _ in range(80):
@@ -208,15 +210,30 @@ def solve_mixture(base, direction, target_kl):
     return (1.0 - hi) * base + hi * direction
 
 
+def oracle_high(task, t):
+    """Reference high policy, one step at a time."""
+    dist = np.zeros(task.n_actions)
+    on = sorted(task.advancing[t])
+    dist[on] = task.concentration[t] / len(on)
+    rest = [a for a in range(task.n_actions) if a not in task.advancing[t]]
+    if rest:
+        dist[rest] = (1.0 - task.concentration[t]) / len(rest)
+    else:
+        dist /= dist.sum()
+    return dist
+
+
 def oracle_low(task, t):
     n = task.n_actions
     if t in task.critical_steps:
         poison = sorted(set(range(n)) - task.advancing[t])
         direction = np.zeros(n)
         direction[poison] = 1.0 / len(poison)
+        key = "divergence_high"
     else:
         direction = np.full(n, 1.0 / n)
-    return solve_mixture(task.high_distribution(t), direction, task.kl_targets[t])
+        key = "divergence_low"
+    return solve_mixture(oracle_high(task, t), direction, task.kl_targets[t], key)
 
 
 def outcome(fn, *args):
@@ -264,6 +281,17 @@ def test_low_table_matches_scalar_bisection(name):
                                               outcome(oracle_low, state.task, state.t))
                 state, _, _, _ = step(state, oracle_action(state))
     assert compared > 0
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_WORLDS))
+def test_high_tables_match_the_step_by_step_reference(name):
+    cfg = ORACLE_WORLDS[name]
+    tasks = [reset(cfg, seed).task for seed in range(25)]
+    together = env_module._high_tables(tasks)
+    for task, table in zip(tasks, together):
+        np.testing.assert_array_equal(table, env_module._high_tables([task])[0])
+        for t in range(1, cfg.horizon + 3):
+            np.testing.assert_array_equal(task.high_distribution(t), oracle_high(task, t))
 
 
 @pytest.mark.parametrize("name", sorted(ORACLE_WORLDS))
@@ -383,6 +411,29 @@ def test_embed_step_zero_guard():
     np.testing.assert_array_equal(z, np.zeros(16))
 
 
+def test_embed_step_matches_the_float_accumulation():
+    rng = np.random.default_rng(4)
+    vocabulary = [f"w{i}" for i in range(40)] + ["task", "ok", "zone", "note", ""]
+    cases = [((), None, (), 16), ((), 2, (), 8), (("task",), None, ("task", "task"), 3)]
+    for _ in range(400):
+        words = rng.choice(vocabulary, size=int(rng.integers(0, 30))).tolist()
+        cut = int(rng.integers(0, len(words) + 1))
+        action = None if rng.random() < 0.2 else int(rng.integers(0, 12))
+        dim = int(rng.choice([1, 2, 3, 5, 8, 64]))  # small dims collide on every call
+        cases.append((tuple(words[:cut]), action, tuple(words[cut:]), dim))
+    # two tokens of opposite sign in one bucket cancel to the zero vector
+    signs = {env_module._token_hash(w) & 1: w for w in vocabulary}
+    cases.append(((signs[0],), None, (signs[1],), 1))
+    zeros = 0
+    for task_tokens, action, obs, dim in cases:
+        got = embed_step(task_tokens, action, obs, dim)
+        want = float_embed_step(task_tokens, action, obs, dim)
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        zeros += not want.any()
+    assert zeros >= 2
+
+
 def test_embed_step_collision_audit():
     rng = np.random.default_rng(9)
     collisions = 0
@@ -425,6 +476,59 @@ def test_klst_collect_matches_fixed_high_trajectories(world, pair):
         assert high.success == col.success
         assert all(s.d_t is not None for s in col.steps)
         assert col.n_high == col.n_steps
+
+
+def _zeroing_pair(cfg, reuse_buffer=False):
+    """The synthetic pair with some low-policy entries set to zero (the rest
+    renormalised), recording each (low, high) pair it returns. With
+    ``reuse_buffer`` the low policy writes every answer into one array."""
+    synthetic = make_policy_pair(cfg)
+    returned = []
+    buffer = np.zeros(cfg.action_space.size)
+
+    def low(state):
+        dist = synthetic.low(state)
+        drop = np.random.default_rng([state.task.task_id, state.t]).random(dist.size) < 0.4
+        drop[np.argmax(dist)] = False
+        dist[drop] = 0.0
+        dist /= dist.sum()
+        if reuse_buffer:
+            buffer[:] = dist
+            dist = buffer
+        returned.append([dist.copy()])
+        return dist
+
+    def high(state):
+        dist = synthetic.high(state)
+        returned[-1].append(dist.copy())
+        return dist
+
+    return PolicyPair(high=high, low=low), returned
+
+
+@pytest.mark.parametrize("n_actions", [6, 11])
+@pytest.mark.parametrize("reuse_buffer", [False, True], ids=["fresh", "reused-buffer"])
+def test_collection_d_t_is_the_per_step_kl_divergence(n_actions, reuse_buffer):
+    cfg = EnvConfig(action_space=ActionSpace(n_actions), seed=n_actions)
+    zero_pair, returned = _zeroing_pair(cfg, reuse_buffer)
+    trajs = run_episodes(cfg, zero_pair, KlstCollect(), range(30), master_seed=1)
+    d_ts = [s.d_t for traj in trajs for s in traj.steps]
+    assert len(d_ts) == len(returned)
+    expected = [kl_divergence(low, high) for low, high in returned]
+    assert [type(d) for d in d_ts] == [float] * len(d_ts)
+    assert d_ts == expected
+    lows = np.array([low for low, _ in returned])
+    assert (lows == 0.0).any(axis=1).mean() > 0.5
+    if n_actions >= 9:
+        # summing zero-filled rows would part from kl_divergence here
+        highs = np.array([high for _, high in returned])
+        assert (env_module._kl_rows(lows, highs) != expected).any()
+
+
+def test_collection_refuses_policies_of_different_support_sizes(world, pair):
+    short_low = PolicyPair(high=pair.high, low=lambda state: pair.low(state)[:-1])
+    with pytest.raises(ValueError, match="support sizes differ: 5 vs 6"):
+        rollout(world, short_low, KlstCollect(), 0)
 
 
 def test_cost_accounting(world, pair):
@@ -590,6 +694,40 @@ def test_parallel_rollouts_match_serial(world, pair):
     serial = run_episodes(world, pair, FixedHigh(), range(12), master_seed=5, workers=1)
     parallel = run_episodes(world, pair, FixedHigh(), range(12), master_seed=5, workers=2)
     assert serial == parallel
+
+
+PINNED_WORLDS = [
+    EnvConfig(),
+    EnvConfig(action_space=ActionSpace(11), seed=1),
+    EnvConfig(action_space=ActionSpace(9), horizon=20, n_critical=4, seed=2),
+    EnvConfig(action_space=ActionSpace(3), divergence_low=0.02, seed=3),
+]
+PINNED_ROUTER = RouterParams.initialize(RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32),
+                                        seed=5)
+# sha256 of every trajectory field below: a change to any draw, D_t or
+# embedding bit changes it, so an optimisation of the step loop must leave
+# it as it is.
+PINNED_TRAJECTORIES_SHA256 = "d3c8d1b806d2a1adefeb6773cf2d4a6ce19b3439b8f08c34d582a99e790971b3"
+
+
+def test_run_drivers_output_is_pinned():
+    drivers = [FixedLow(), FixedHigh(), RandomDriver(0.4), KlstCollect(),
+               RouterDriver(PINNED_ROUTER, mode="greedy"),
+               RouterDriver(PINNED_ROUTER, mode="sampled")]
+    digest = hashlib.sha256()
+    for cfg in PINNED_WORLDS:
+        columns = run_drivers(cfg, make_policy_pair(cfg), drivers, range(60), master_seed=7)
+        for traj in (traj for column in columns for traj in column):
+            # repr keeps the types: np.float64 or np.int64 would read differently
+            digest.update(repr((traj.episode_seed, traj.driver, traj.success, traj.n_high,
+                                traj.n_steps)).encode())
+            for s in traj.steps:
+                digest.update(repr((s.t, s.action, s.executed, s.route_choice, s.d_t,
+                                    s.critical)).encode())
+                if s.embedding is not None:
+                    digest.update(repr((s.embedding.dtype.str, s.embedding.shape)).encode())
+                    digest.update(s.embedding.tobytes())
+    assert digest.hexdigest() == PINNED_TRAJECTORIES_SHA256
 
 
 # --- remote-policy protocol ---------------------------------------------------

@@ -23,11 +23,12 @@ from mixroute.router import (
     forward_probs_batch,
     load_params,
     route,
+    sample_categorical,
     save_params,
     truncate_sequence,
 )
 
-from helpers import all_rows_forward, write_version1_checkpoint
+from helpers import all_rows_forward, cumsum_sample_categorical, write_version1_checkpoint
 
 
 def with_layers(num_layers):
@@ -219,6 +220,49 @@ def test_route_sampled_frequency(params):
 def test_route_sampled_requires_rng(params):
     with pytest.raises(ValueError):
         route(seq_of(np.ones((1, 8))), params, mode="sampled")
+
+
+class FixedUniform:
+    """An rng stand-in whose every uniform is ``u``; counts its draws."""
+
+    def __init__(self, u):
+        self.u, self.calls = u, 0
+
+    def random(self):
+        self.calls += 1
+        return self.u
+
+
+def test_sample_categorical_matches_the_cumsum_draw():
+    gen = np.random.default_rng(11)
+    for trial in range(3000):
+        n = int(gen.integers(2, 13))
+        probs = gen.dirichlet(np.full(n, gen.choice([0.1, 1.0, 10.0])))
+        if trial % 3 == 0:
+            probs[gen.random(n) < 0.3] = 0.0  # zero entries, and a total short of 1
+        seed = int(gen.integers(2**32))
+        ours, theirs, fresh = (np.random.default_rng(seed) for _ in range(3))
+        assert sample_categorical(probs, ours) == cumsum_sample_categorical(probs, theirs)
+        fresh.random()
+        assert ours.random() == fresh.random()  # exactly one uniform consumed
+        # on and beside every cumulative total, where the draw changes index
+        for total in np.cumsum(probs):
+            for u in (np.nextafter(total, 0.0), total, np.nextafter(total, 1.0)):
+                if 0.0 <= u < 1.0:
+                    assert (sample_categorical(probs, FixedUniform(u))
+                            == cumsum_sample_categorical(probs, FixedUniform(u)))
+
+
+def test_sample_categorical_clamps_to_the_last_index():
+    # Ten tenths add up to 1 - 2**-53 left to right; a uniform at or above
+    # that total draws the last index, even one without mass.
+    for probs in (np.full(10, 0.1), np.append(np.full(10, 0.1), 0.0)):
+        total = np.cumsum(probs)[-1]
+        assert total < 1.0
+        rng = FixedUniform(total)
+        assert sample_categorical(probs, rng) == len(probs) - 1 \
+            == cumsum_sample_categorical(probs, FixedUniform(total))
+        assert rng.calls == 1
 
 
 # sha256 of save_params(RouterParams.initialize(with_layers(L), seed=7)): the
