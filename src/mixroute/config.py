@@ -20,7 +20,7 @@ import yaml
 from .env import ActionSpace, EnvConfig
 from .grpo import GRPOConfig, RewardConfig
 from .klst import KlstTrainConfig, LabelingConfig
-from .router import RouterConfig
+from .router import ROUTING_MODES, RouterConfig
 
 
 class ConfigValidationError(ValueError):
@@ -264,7 +264,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             violations.append("eval.episodes must be >= 1")
         if eval_section.episode_seed_start < 0:
             violations.append("eval.episode_seed_start must be >= 0")
-        if eval_section.mode not in ("greedy", "sampled"):
+        if eval_section.mode not in ROUTING_MODES:
             violations.append("eval.mode must be greedy or sampled")
         if any(not 0.0 <= p <= 1.0 for p in eval_section.random_ps):
             violations.append("eval.random_ps entries must lie in [0, 1]")

@@ -34,6 +34,7 @@ from typing import Callable, ClassVar
 import numpy as np
 
 from .router import (
+    ROUTING_MODES,
     RouterParams,
     StepSequence,
     choose_precision,
@@ -550,6 +551,10 @@ class RouterDriver:
     params: RouterParams
     mode: str = "sampled"
     tag: ClassVar[str] = "router"
+
+    def __post_init__(self):
+        if self.mode not in ROUTING_MODES:
+            raise ValueError(f"unknown routing mode {self.mode!r}")
 
 
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver

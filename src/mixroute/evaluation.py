@@ -24,7 +24,7 @@ from .env import (
     RouterDriver,
     run_drivers,
 )
-from .router import RouterParams
+from .router import ROUTING_MODES, RouterParams
 
 
 def ghc(success_rate: float, weak_success_rate: float, high_ratio: float) -> float | None:
@@ -53,7 +53,7 @@ class BaselineSpec:
                 raise ValueError("random baselines need p in [0, 1]")
         if self.kind == "router" and self.params is None:
             raise ValueError("router baselines need params")
-        if self.mode not in ("greedy", "sampled"):
+        if self.mode not in ROUTING_MODES:
             raise ValueError("mode must be greedy or sampled")
 
     @property

@@ -125,7 +125,9 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
     one forward/backward pass carrying both the policy-gradient and the
     KL-penalty contributions; each stack's backward runs before the next
     stack's forward, and the loss terms are summed state by state in
-    trajectory order.
+    trajectory order. One packed pass over all the states would hold every
+    length's activations at once: for a group of eight, a traced peak of
+    11.9 MB against 1.8 MB.
     """
     items = [(float(adv), _decision_sequences(traj, params.config.max_len))
              for group in groups for traj, adv in zip(group.trajectories, group.advantages)]

@@ -22,7 +22,6 @@ from .router import (
     StepSequence,
     forward_probs_batch,
     prefix_sequences,
-    shape_stacks,
 )
 
 DATASET_SCHEMA_VERSION = 1
@@ -239,19 +238,21 @@ class KlstResult:
     val_episodes: list[int]
 
 
-def predict_labels(params: RouterParams, records) -> np.ndarray:
+def predict_labels(params: RouterParams, records,
+                   batch_size: int = KlstTrainConfig.batch_size) -> np.ndarray:
     """Greedy router decision per record (ties go to index 0), one router
-    pass per stack of same-shape sequences."""
+    pass per slice of ``batch_size`` records."""
     out = np.empty(len(records), dtype=np.intp)
-    for rows in shape_stacks([r.sequence for r in records]):
-        probs, _ = forward_probs_batch([records[i].sequence for i in rows], params)
-        out[rows] = np.argmax(probs, axis=1)
+    for start in range(0, len(records), batch_size):
+        probs, _ = forward_probs_batch([r.sequence for r in records[start:start + batch_size]],
+                                       params)
+        out[start:start + len(probs)] = np.argmax(probs, axis=1)
     return out
 
 
-def _validation_metrics(params, records):
+def _validation_metrics(params, records, batch_size: int):
     labels = np.asarray([r.label for r in records], dtype=np.intp)
-    preds = predict_labels(params, records)
+    preds = predict_labels(params, records, batch_size)
     accuracy = float((preds == labels).mean())
     recalls = [float((preds[labels == c] == c).mean()) for c in (0, 1) if (labels == c).any()]
     balanced = float(np.mean(recalls)) if recalls else 0.0
@@ -260,20 +261,12 @@ def _validation_metrics(params, records):
 
 def _minibatch_gradient(batch, params: RouterParams, weights) -> float:
     """Add the gradient of the batch's mean weighted cross-entropy to the
-    parameter tensors and return the sum of its records' losses.
-
-    Each stack of same-shape sequences takes one forward and one backward
-    pass, the backward before the next stack's forward; a stack's gradient
-    is its own mean scaled by its share of the batch.
-    """
-    loss_sum = 0.0
-    for rows in shape_stacks([r.sequence for r in batch]):
-        stack = [batch[i] for i in rows]
-        probs, backward = forward_probs_batch([r.sequence for r in stack], params)
-        loss, bw_ce = weighted_cross_entropy(probs, [r.label for r in stack], weights)
-        loss_sum += loss * len(stack)
-        backward(bw_ce() * (len(stack) / len(batch)))
-    return loss_sum
+    parameter tensors, from one forward and one backward pass, and return
+    the sum of its records' losses."""
+    probs, backward = forward_probs_batch([r.sequence for r in batch], params)
+    loss, bw_ce = weighted_cross_entropy(probs, [r.label for r in batch], weights)
+    backward(bw_ce())
+    return loss * len(batch)
 
 
 def train_klst(dataset: SupervisionDataset, params: RouterParams,
@@ -321,7 +314,7 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
             for tensor in tensors:
                 adam_step(tensor, adam)
         train_loss = epoch_loss / max(len(train_records), 1)
-        acc, balanced = _validation_metrics(params, val_records)
+        acc, balanced = _validation_metrics(params, val_records, config.batch_size)
         history.append(EpochMetrics(epoch, train_loss, acc, balanced))
         score = balanced if config.select_by == "balanced_accuracy" else acc
         if score > best_score:

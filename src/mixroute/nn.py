@@ -6,11 +6,14 @@ into any ParamTensor arguments, and returns the gradient w.r.t. the
 non-parameter inputs. There is no tape: callers compose the closures in
 reverse order themselves.
 
-Parameters are 2-D, row-major, float64. Activations are 2-D matrices or
-stacks of them: every op works on the last two axes and treats leading
-axes as a batch, slice by slice exactly as it treats one matrix, so a
-stack's rows equal bitwise the rows of the same matrices run one by one.
-Parameter gradients sum over the whole stack. Shapes here are tiny
+Parameters are 2-D, row-major, float64. The router runs the row-wise ops
+(linear, layer norm, relu) once on packed 2-D rows: the rows of every
+sequence of a batch, one under another. Attention and the router's head
+take stacks: every op works on the last two axes and treats leading axes
+as a batch, slice by slice exactly as it treats one matrix. With
+OpenBLAS, a row of a matrix-matrix product comes out bitwise the same in
+any company of two or more rows; a one-row product goes to BLAS's
+matrix-vector routine and may round differently. Parameter gradients sum over all rows. Shapes here are tiny
 (d <= 128, t <= 64), so clarity wins over cleverness.
 
 ParamTensors are single-writer: forward/backward/adam_step on one set of

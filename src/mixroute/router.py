@@ -3,9 +3,10 @@
 A 2-layer post-norm Transformer encoder over step embeddings with learned
 absolute positional embeddings, self-attention, last-token pooling and a
 K-way softmax head. Index 0 is the cheap (low-precision) policy, index 1
-the expensive (high-precision) one. The head reads only the last step, so
-the last layer computes keys and values for every step, the rest for the
-final two only.
+the expensive (high-precision) one. A batch of sequences of any lengths
+runs as one pass over their packed rows; only attention runs per length
+group. The head reads only the last step, so the last layer computes keys
+and values for every step, the rest for the final two only.
 
 route() against a params snapshot that nobody is training is safe to call
 from many workers at once; training (backward + adam_step) is single-writer.
@@ -151,6 +152,9 @@ class RouterParams:
         return RouterParams(self.config, {n: t.copy() for n, t in self.by_name.items()})
 
 
+ROUTING_MODES = ("greedy", "sampled")  # see choose_precision
+
+
 @dataclass(frozen=True)
 class RoutingDistribution:
     probs: np.ndarray  # (K,)
@@ -167,9 +171,7 @@ def prefix_sequences(embeddings) -> list[StepSequence]:
 
 def shape_stacks(seqs) -> list[list[int]]:
     """Indices of ``seqs`` grouped by length, groups and the indices within
-    them in first-seen order. Every group is one stack for
-    ``forward_probs_batch``: no padding, so each row stays bitwise equal to
-    its own ``forward_probs``."""
+    them in first-seen order."""
     stacks: dict[int, list[int]] = {}
     for i, seq in enumerate(seqs):
         stacks.setdefault(seq.length, []).append(i)
@@ -183,14 +185,51 @@ def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
     return StepSequence(seq.embeddings[-max_len:])
 
 
-def _add_positions(x, params: RouterParams):
-    """Add P[i] to row i of every (t, d) matrix in ``x`` (one matrix or a stack)."""
-    t, d = x.shape[-2:]
+def _pack(seqs):
+    """The rows of ``seqs`` packed into one (N, d) matrix, one length group
+    after another in first-seen order, each group's sequences one under
+    another, so a group's block reshapes to (sequences, length, d) as a
+    view. Returns the rows, the (sequences, length) of each group and each
+    input sequence's place in packed order.
+
+    A lone one-step sequence is packed twice, so that no product has one
+    row: numpy hands a one-row product to BLAS's matrix-vector routine,
+    which rounds differently from a row of a matrix-matrix product.
+    """
+    stacks = shape_stacks(seqs)
+    if len(seqs) == 1 and seqs[0].length == 1:
+        stacks = [[0, 0]]
+    order = [i for stack in stacks for i in stack]
+    place = [0] * len(seqs)
+    for k, i in enumerate(order):
+        place[i] = k
+    groups = [(len(stack), seqs[stack[0]].length) for stack in stacks]
+    return np.concatenate([seqs[i].embeddings for i in order]), groups, place
+
+
+def _spans(groups, last: bool):
+    """(b, t, q, rows, queries) per length group of b sequences of t steps:
+    the q query rows of each sequence (its final min(t, 2) in the last
+    layer, else all t), and the slices of the group's rows among the
+    packed rows and of its query rows among the packed query rows."""
+    row = query = 0
+    for b, t in groups:
+        q = min(t, 2) if last else t
+        yield b, t, q, slice(row, row + b * t), slice(query, query + b * q)
+        row, query = row + b * t, query + b * q
+
+
+def _add_positions(x, groups, params: RouterParams):
+    """Add P[i] to row i of every sequence in the packed rows ``x``."""
     positional = params.by_name["positional"]
-    out = x + positional.value[:t]
+    out = np.empty_like(x)
+    for b, t, _, rows, _ in _spans(groups, False):
+        np.add(x[rows].reshape(b, t, -1), positional.value[:t],
+               out=out[rows].reshape(b, t, -1))
 
     def backward(grad_out):
-        positional.grad[:t] += grad_out.reshape(-1, t, d).sum(axis=0)
+        for b, t, _, rows, _ in _spans(groups, False):
+            positional.grad[:t] += grad_out[rows].reshape(b, t, -1).sum(axis=0)
         return grad_out
 
     return out, backward
@@ -204,36 +243,57 @@ def _check_dim(seq: StepSequence, params: RouterParams) -> None:
         )
 
 
-def _split_heads(m, num_heads: int):
-    """(B, t, d) -> (B, heads, t, d / heads) view."""
-    b, t, d = m.shape
-    return m.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+def _split_heads(rows, b: int, num_heads: int):
+    """(b * t, d) rows of b sequences -> (b, heads, t, d / heads) view."""
+    d = rows.shape[-1]
+    return rows.reshape(b, -1, num_heads, d // num_heads).transpose(0, 2, 1, 3)
 
 
-def _merge_heads(m):
-    """(B, heads, t, d_head) -> (B, t, heads * d_head)."""
-    b, h, t, dh = m.shape
-    return m.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+def _attend(q, k, v, spans, num_heads: int):
+    """Self-attention per length group over packed rows: ``k`` and ``v``
+    hold all rows of each group, ``q`` its query rows (see ``_spans``).
+    Returns the merged heads of the query rows.
 
-
-def _layer_forward(x, params: RouterParams, i: int, queries: int):
-    """Encoder layer i over a (B, t, d) stack, computed for its last
-    ``queries`` rows: each attends to all t steps, which give every key and
-    value. Returns those (B, queries, d) rows.
-
-    All heads attend in one call; each head reads and writes the same
-    strided columns a per-head slice would.
+    All heads of a group attend in one call; each head reads and writes
+    the same strided columns a per-head slice would.
     """
+    out = np.empty_like(q)
+    backwards = []
+    for b, t, _, rows, queries in spans:
+        heads, bw = masked_attention(
+            _split_heads(q[queries], b, num_heads), _split_heads(k[rows], b, num_heads),
+            _split_heads(v[rows], b, num_heads), np.ones(t, dtype=bool))
+        _split_heads(out[queries], b, num_heads)[...] = heads
+        backwards.append(bw)
+
+    def backward(grad):
+        gq, gk, gv = np.empty_like(q), np.empty_like(k), np.empty_like(v)
+        for (b, _, _, rows, queries), bw in zip(spans, backwards):
+            parts = bw(_split_heads(grad[queries], b, num_heads))
+            for dst, at, part in zip((gq, gk, gv), (queries, rows, rows), parts):
+                _split_heads(dst[at], b, num_heads)[...] = part
+        return gq, gk, gv
+
+    return out, backward
+
+
+def _layer_forward(x, params: RouterParams, i: int, groups, last: bool):
+    """Encoder layer i over the packed rows ``x``, computed for its query
+    rows: the final min(t, 2) of each sequence in the last layer, every row
+    before it. Each query row attends to all t steps of its sequence, which
+    give every key and value. Returns the query rows' outputs, packed."""
     w, at = params.by_name, f"layer{i}."
-    num_heads = params.config.num_heads
-    rows = x[:, -queries:, :]
+    spans = list(_spans(groups, last))
+    rows = x
+    if last:
+        rows = np.empty((sum(b * q for b, _, q, _, _ in spans), x.shape[1]))
+        for b, t, q, block, queries in spans:
+            rows[queries].reshape(b, q, -1)[...] = x[block].reshape(b, t, -1)[:, t - q:]
     q, bw_q = linear_forward(rows, w[at + "wq"], w[at + "bq"])
     k, bw_k = linear_forward(x, w[at + "wk"], w[at + "bk"])
     v, bw_v = linear_forward(x, w[at + "wv"], w[at + "bv"])
-    every_key = np.ones(x.shape[-2], dtype=bool)
-    heads, bw_heads = masked_attention(_split_heads(q, num_heads), _split_heads(k, num_heads),
-                                       _split_heads(v, num_heads), every_key)
-    attn, bw_o = linear_forward(_merge_heads(heads), w[at + "wo"], w[at + "bo"])
+    heads, bw_heads = _attend(q, k, v, spans, params.config.num_heads)
+    attn, bw_o = linear_forward(heads, w[at + "wo"], w[at + "bo"])
 
     resid1 = rows + attn
     normed1, bw_ln1 = layer_norm(resid1, w[at + "ln1_gain"], w[at + "ln1_shift"])
@@ -247,33 +307,35 @@ def _layer_forward(x, params: RouterParams, i: int, queries: int):
         g = bw_ln2(grad)
         g_normed1 = g + bw_f1(bw_act(bw_f2(g)))
         g_resid1 = bw_ln1(g_normed1)
-        g_concat = bw_o(g_resid1)
-        gq, gk, gv = bw_heads(_split_heads(g_concat, num_heads))
-        g_x = np.zeros_like(x)
-        g_x[:, -queries:, :] = g_resid1 + bw_q(_merge_heads(gq))
-        g_x += bw_k(_merge_heads(gk))
-        g_x += bw_v(_merge_heads(gv))
+        gq, gk, gv = bw_heads(bw_o(g_resid1))
+        g_rows = g_resid1 + bw_q(gq)
+        g_x = g_rows
+        if last:
+            g_x = np.zeros_like(x)
+            for b, t, q, block, queries in spans:
+                g_x[block].reshape(b, t, -1)[:, t - q:] = g_rows[queries].reshape(b, q, -1)
+        g_x += bw_k(gk)
+        g_x += bw_v(gv)
         return g_x
 
     return out, backward
 
 
-def _encode_stack(x, params: RouterParams):
-    """N encoder layers over a (B, t, d) stack of position-augmented inputs.
+def _encode(x, groups, params: RouterParams):
+    """N encoder layers over packed position-augmented rows.
 
-    Returns only the final min(t, 2) rows, the only ones the last layer
-    computes. The head reads one; the second keeps that row's products
-    matrix-matrix, since numpy hands a one-row product to BLAS's
-    matrix-vector routine, which rounds differently.
+    Returns only the rows the last layer computes: the final min(t, 2) of
+    each sequence, packed. The head reads one; the second keeps that row's
+    products matrix-matrix (see ``_pack``).
     """
-    stack = []
-    t, last = x.shape[-2], params.config.num_layers - 1
+    layers = []
+    last = params.config.num_layers - 1
     for i in range(params.config.num_layers):
-        x, bw = _layer_forward(x, params, i, min(t, 2) if i == last else t)
-        stack.append(bw)
+        x, bw = _layer_forward(x, params, i, groups, i == last)
+        layers.append(bw)
 
     def backward(grad):
-        for bw in reversed(stack):
+        for bw in reversed(layers):
             grad = bw(grad)
         return grad
 
@@ -281,34 +343,49 @@ def _encode_stack(x, params: RouterParams):
 
 
 def forward_probs_batch(seqs, params: RouterParams):
-    """Router forward over sequences of one length, as a stack.
+    """Router forward over sequences of any lengths, in one pass.
 
-    Returns probs of shape (B, K), row b bitwise equal to
-    ``forward_probs(seqs[b], params)``, and ``backward(dprobs)`` taking a
-    (B, K) gradient and accumulating the gradient of the whole stack into
-    every parameter tensor.
+    The sequences' rows are packed into one 2-D matrix, one length group
+    after another (``_pack``): every row-wise op runs once on the packed
+    rows, and only attention runs per group. Nothing is padded, so each
+    row of the result is bitwise equal to ``forward_probs(seqs[b],
+    params)``, in any company and any input order.
+
+    Returns probs of shape (B, K) in input order, and ``backward(dprobs)``
+    taking a (B, K) gradient and accumulating the gradient of the whole
+    batch into every parameter tensor.
     """
     seqs = [truncate_sequence(s, params.config.max_len) for s in seqs]
     if not seqs:
         raise ValueError("forward_probs_batch needs at least one sequence")
     for s in seqs:
         _check_dim(s, params)
-        if s.length != seqs[0].length:
-            raise ShapeMismatchError("a batch needs one sequence length")
-    x, bw_pos = _add_positions(np.stack([s.embeddings for s in seqs]), params)
-    hidden, bw_enc = _encode_stack(x, params)
-    pooled = hidden[:, -1:, :]  # (B, 1, d): the head runs per sequence
+    rows, groups, place = _pack(seqs)
+    x, bw_pos = _add_positions(rows, groups, params)
+    hidden, bw_enc = _encode(x, groups, params)
+    # Each sequence's last row, in packed order, as a (P, 1, d) stack: the
+    # head runs per sequence. One group's rows stay a strided view: in
+    # alternating benchmark pairs, copying them (and reordering with a fancy
+    # index) made `rollouts` about 2% slower.
+    last = list(_spans(groups, True))
+    parts = [hidden[queries].reshape(b, q, -1)[:, -1:] for b, _, q, _, queries in last]
+    pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
     logits, bw_head = linear_forward(pooled, params.by_name["head_weight"],
                                        params.by_name["head_bias"])
     probs, bw_soft = softmax_rows(logits)
 
     def backward(dprobs) -> None:
-        dp = np.asarray(dprobs, dtype=np.float64).reshape(probs.shape)
+        dp = np.zeros_like(probs)
+        dp[place, 0] = np.asarray(dprobs, dtype=np.float64).reshape(len(place), -1)
+        d_pooled = bw_head(bw_soft(dp))
         d_hidden = np.zeros_like(hidden)
-        d_hidden[:, -1:, :] = bw_head(bw_soft(dp))
+        start = 0
+        for b, _, q, _, queries in last:
+            d_hidden[queries].reshape(b, q, -1)[:, -1:] = d_pooled[start:start + b]
+            start += b
         bw_pos(bw_enc(d_hidden))
 
-    return probs[:, 0, :], backward
+    return probs[:, 0].take(place, axis=0), backward
 
 
 def forward_probs(seq: StepSequence, params: RouterParams):

@@ -1,15 +1,17 @@
 """Shared test utilities: central finite differences, relative error, a
-writer of the retired version-1 checkpoint layout, a recorder of
-low-policy table solves, the all-rows router forward, and the numpy
-categorical draw and step embedding that the leaner ones must equal."""
+writer of the retired version-1 checkpoint layout, recorders of
+low-policy table solves and of router passes, the all-rows router forward,
+and the numpy categorical draw and step embedding that the leaner ones must
+equal."""
 
 import struct
+from dataclasses import dataclass
 
 import numpy as np
 
 from mixroute.env import _token_hash
 from mixroute.nn import layer_norm, linear_forward, masked_attention, relu, softmax_rows
-from mixroute.router import _add_positions, _merge_heads, _split_heads, truncate_sequence
+from mixroute.router import truncate_sequence
 
 
 def central_difference(f, x, h=1e-5):
@@ -82,6 +84,51 @@ def record_low_solves(monkeypatch, env_module):
     return calls
 
 
+@dataclass
+class RouterPass:
+    """One recorded ``forward_probs_batch`` call: how many sequences it
+    held and how many times its backward ran."""
+
+    sequences: int
+    backwards: int = 0
+
+
+def record_router_passes(monkeypatch, module):
+    """Patch ``module.forward_probs_batch`` to record every router pass.
+
+    Returns the list of passes, each a RouterPass, in call order.
+    """
+    passes = []
+    forward = module.forward_probs_batch
+
+    def recorded(seqs, params):
+        seqs = list(seqs)
+        probs, backward = forward(seqs, params)
+        entry = RouterPass(len(seqs))
+        passes.append(entry)
+
+        def recorded_backward(dprobs):
+            entry.backwards += 1
+            return backward(dprobs)
+
+        return probs, recorded_backward
+
+    monkeypatch.setattr(module, "forward_probs_batch", recorded)
+    return passes
+
+
+def _split_heads(m, num_heads):
+    """(B, t, d) -> (B, heads, t, d / heads) view."""
+    b, t, d = m.shape
+    return m.reshape(b, t, num_heads, d // num_heads).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(m):
+    """(B, heads, t, d_head) -> (B, t, heads * d_head)."""
+    b, h, t, dh = m.shape
+    return m.transpose(0, 2, 1, 3).reshape(b, t, h * dh)
+
+
 def _all_rows_layer(x, params, i):
     """Encoder layer i over a (B, t, d) stack, every row computed."""
     w, at = params.by_name, f"layer{i}."
@@ -111,15 +158,19 @@ def _all_rows_layer(x, params, i):
 
 
 def all_rows_forward(seqs, params):
-    """The router forward with every encoder layer run on every row, then
-    the last row pooled: the reference for ``forward_probs_batch``, whose
-    last layer computes only the rows the head reads.
+    """The router forward over a (B, t, d) stack of one-length sequences,
+    every encoder layer run on every row, then the last row pooled: the
+    reference for ``forward_probs_batch``, which packs sequences of any
+    lengths into 2-D rows and whose last layer computes only the rows the
+    head reads. A one-step stack's products here are matrix-vector, one per
+    sequence.
 
     Returns the (B, t, d) encoder output, the (B, K) probabilities and
     ``backward(dprobs)``, which accumulates into the parameter gradients.
     """
     x = np.stack([truncate_sequence(s, params.config.max_len).embeddings for s in seqs])
-    x, bw_pos = _add_positions(x, params)
+    t, positional = x.shape[1], params.by_name["positional"]
+    x = x + positional.value[:t]
     layers = []
     for i in range(params.config.num_layers):
         x, bw = _all_rows_layer(x, params, i)
@@ -133,7 +184,7 @@ def all_rows_forward(seqs, params):
         grad[:, -1:, :] = bw_head(bw_soft(np.reshape(dprobs, probs.shape)))
         for bw in reversed(layers):
             grad = bw(grad)
-        bw_pos(grad)
+        positional.grad[:t] += grad.sum(axis=0)
 
     return x, probs[:, 0, :], backward
 

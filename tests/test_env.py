@@ -621,6 +621,18 @@ def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
                                              sample_index=k, embed_dim=32))
 
 
+def test_router_driver_refuses_an_unknown_mode_before_any_reset(world, pair, monkeypatch):
+    resets = []
+    monkeypatch.setattr(env_module, "reset",
+                        lambda *args: resets.append(args) or reset(*args))
+    with pytest.raises(ValueError, match="unknown routing mode 'greedyy'"):
+        run_drivers(world, pair, [FixedLow(), RouterDriver(LOCKSTEP_ROUTER, mode="greedyy")],
+                    range(3))
+    assert resets == []
+    run_drivers(world, pair, [FixedLow()], range(2))
+    assert len(resets) == 2  # the recorder sees the resets a run makes
+
+
 def test_group_members_share_one_low_table(world, pair, monkeypatch):
     calls = record_low_solves(monkeypatch, env_module)
     seen = []

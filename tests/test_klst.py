@@ -27,6 +27,8 @@ from mixroute.klst import (
 from mixroute.nn import weighted_cross_entropy
 from mixroute.router import RouterConfig, RouterParams, StepSequence, forward_probs
 
+from helpers import record_router_passes
+
 
 def test_kl_identity():
     assert kl_divergence([0.3, 0.7], [0.3, 0.7]) == 0.0
@@ -394,3 +396,21 @@ def test_stacked_epoch_loss_matches_per_record(collected_dataset, monkeypatch):
                         config)
     for a, b in zip(stacked.metrics, oracle.metrics):
         assert a.train_loss == pytest.approx(b.train_loss, rel=1e-12)
+
+
+def test_train_klst_makes_one_training_pass_per_minibatch(collected_dataset, monkeypatch):
+    """An epoch runs each minibatch through the router in one pass with one
+    backward, and validates in passes of at most batch_size sequences."""
+    passes = record_router_passes(monkeypatch, klst_module)
+    config = KlstTrainConfig(epochs=1, batch_size=48, learning_rate=1e-3, seed=4)
+    result = train_klst(collected_dataset, RouterParams.initialize(RouterConfig(), seed=4),
+                        config)
+    train_set = set(result.train_episodes)
+    n_train = sum(r.episode in train_set for r in collected_dataset.records)
+    n_val = len(collected_dataset.records) - n_train
+    training = [p.sequences for p in passes if p.backwards]
+    validation = [p.sequences for p in passes if not p.backwards]
+    assert all(p.backwards <= 1 for p in passes)
+    assert training == [min(48, n_train - start) for start in range(0, n_train, 48)]
+    assert sum(validation) == n_val and max(validation) <= 48
+    assert len(validation) == -(-n_val // 48)

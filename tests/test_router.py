@@ -18,7 +18,8 @@ from mixroute.router import (
     RouterParams,
     StepSequence,
     _add_positions,
-    _encode_stack,
+    _encode,
+    _pack,
     forward_probs,
     forward_probs_batch,
     load_params,
@@ -65,12 +66,12 @@ def test_step_sequence_rejects_bad_masks():
 def test_add_positions_zero_positions(params):
     params.by_name["positional"].value[:] = 0.0
     x = np.random.default_rng(0).normal(size=(4, 8))
-    out, _ = _add_positions(x, params)
+    out, _ = _add_positions(x, [(1, 4)], params)
     np.testing.assert_array_equal(out, x)
 
 
 def test_add_positions_zero_input(params):
-    out, _ = _add_positions(np.zeros((3, 8)), params)
+    out, _ = _add_positions(np.zeros((3, 8)), [(1, 3)], params)
     np.testing.assert_array_equal(out, params.by_name["positional"].value[:3])
 
 
@@ -79,7 +80,7 @@ def test_add_positions_truncates_oldest_first(params):
     rng = np.random.default_rng(1)
     x = rng.normal(size=(SMALL.max_len + 3, 8))
     seq = truncate_sequence(seq_of(x), SMALL.max_len)
-    out, _ = _add_positions(seq.embeddings, params)
+    out, _ = _add_positions(seq.embeddings, [(1, SMALL.max_len)], params)
     assert out.shape == (SMALL.max_len, 8)
     np.testing.assert_array_equal(out, x[3:] + params.by_name["positional"].value)
 
@@ -102,6 +103,17 @@ def test_encode_outputs_finite_and_bounded():
         assert np.linalg.norm(h) <= 10.0 * max(np.linalg.norm(x), 1.0)
 
 
+def assert_one_step_aware_equal(actual, expected, lengths):
+    """Rows of sequences with two or more steps bitwise equal; one-step
+    rows within 1e-15. The all-rows encoder runs a one-step stack's
+    products matrix-vector, one per sequence, and forward_probs_batch
+    never runs a one-row product, so those rows may differ in the last
+    bit."""
+    one_step = np.asarray(lengths) == 1
+    np.testing.assert_array_equal(actual[~one_step], expected[~one_step])
+    np.testing.assert_allclose(actual[one_step], expected[one_step], rtol=0, atol=1e-15)
+
+
 def test_pool_last_valid(params):
     """The head reads the hidden state of the most recent step."""
     x = np.random.default_rng(7).normal(size=(5, 8))
@@ -112,17 +124,20 @@ def test_pool_last_valid(params):
                                    params.by_name["head_bias"])
         expected, _ = softmax_rows(logits)
         probs, _ = forward_probs(seq, params)
-        np.testing.assert_array_equal(probs, expected[0])
+        assert_one_step_aware_equal(probs[None], expected[0][None], [seq.length])
 
 
-def test_encode_stack_returns_the_final_rows_of_the_all_rows_encoder(params):
+def test_encode_returns_the_final_rows_of_the_all_rows_encoder(params):
     """The last layer computes the final min(t, 2) rows, bitwise as an
-    encoder computing every row does."""
+    encoder computing every row does; a lone one-step sequence is packed
+    twice, and its row is held to 1e-15 (see assert_one_step_aware_equal)."""
     x = np.random.default_rng(7).normal(size=(SMALL.max_len + 2, 8))
     for rows in (x, x[:5], x[:2], x[:1]):
         seq = truncate_sequence(seq_of(rows), SMALL.max_len)
-        h, _ = _encode_stack(_add_positions(seq.embeddings[None], params)[0], params)
-        np.testing.assert_array_equal(h[0], hidden_states(seq, params)[-min(seq.length, 2):])
+        packed, groups, _ = _pack([seq])
+        h, _ = _encode(_add_positions(packed, groups, params)[0], groups, params)
+        expected = hidden_states(seq, params)[-min(seq.length, 2):]
+        assert_one_step_aware_equal(h[-len(expected):], expected, [seq.length] * len(expected))
 
 
 def _against_all_rows(seqs, params, dprobs):
@@ -147,7 +162,8 @@ def _against_all_rows(seqs, params, dprobs):
 @pytest.mark.parametrize("num_layers", [1, 2, 3])
 def test_forward_probs_batch_matches_the_all_rows_encoder(num_layers):
     """Probabilities equal bitwise those of an encoder whose last layer runs
-    on every row; gradients agree to the stated tolerance."""
+    on every row, one-step rows to 1e-15; gradients agree to the stated
+    tolerance."""
     config = with_layers(num_layers)
     params = RouterParams.initialize(config, seed=num_layers)
     rng = np.random.default_rng(num_layers)
@@ -156,7 +172,7 @@ def test_forward_probs_batch_matches_the_all_rows_encoder(num_layers):
             seqs = [seq_of(rng.normal(size=(length, 8))) for _ in range(batch)]
             probs, expected = _against_all_rows(
                 seqs, params, rng.normal(size=(batch, config.num_precisions)))
-            np.testing.assert_array_equal(probs, expected)
+            assert_one_step_aware_equal(probs, expected, [length] * batch)
 
 
 def test_narrow_router_matches_the_all_rows_encoder_to_rounding():
@@ -423,10 +439,56 @@ def test_forward_probs_batch_matches_single_sequences(params):
                                        err_msg=name)
 
 
-def test_forward_probs_batch_needs_one_shape(params):
-    with pytest.raises(ShapeMismatchError):
-        forward_probs_batch([seq_of(np.ones((2, 8))), seq_of(np.ones((3, 8)))], params)
+def test_forward_probs_batch_refuses_a_wrong_dim_and_no_sequences(params):
     with pytest.raises(ShapeMismatchError):
         forward_probs_batch([seq_of(np.ones((3, 5)))], params)
     with pytest.raises(ValueError):
         forward_probs_batch([], params)
+
+
+def _lone_rows_and_grad(seqs, params, dprobs):
+    """Each sequence's own forward_probs, and the sum of their gradients."""
+    params.zero_grads()
+    rows = []
+    for seq, dp in zip(seqs, dprobs):
+        probs, backward = forward_probs(seq, params)
+        backward(dp)
+        rows.append(probs)
+    return np.stack(rows), {name: t.grad.copy() for name, t in params.tensors()}
+
+
+@pytest.mark.parametrize("num_layers", [1, 2, 3])
+def test_mixed_length_batch_rows_equal_their_lone_forwards(num_layers):
+    """One pass over sequences of every length from 1 to max_len + 3 (the
+    last three truncated), in shuffled order: each row is bitwise its own
+    forward_probs, in input order, and the gradient is the sum of the lone
+    gradients within 1e-12 of its largest entry."""
+    config = with_layers(num_layers)
+    params = RouterParams.initialize(config, seed=num_layers)
+    rng = np.random.default_rng(20 + num_layers)
+    lengths = rng.permutation(np.repeat(np.arange(1, config.max_len + 4), 2))
+    seqs = [seq_of(rng.normal(size=(t, 8))) for t in lengths]
+    dprobs = rng.normal(size=(len(seqs), config.num_precisions))
+    expected, expected_grads = _lone_rows_and_grad(seqs, params, dprobs)
+    params.zero_grads()
+    probs, backward = forward_probs_batch(seqs, params)
+    backward(dprobs)
+    np.testing.assert_array_equal(probs, expected)
+    scale = max(np.abs(g).max() for g in expected_grads.values())
+    for name, t in params.tensors():
+        assert np.abs(t.grad - expected_grads[name]).max() <= 1e-12 * scale, name
+    # the same rows, whatever the order they come in
+    flipped, _ = forward_probs_batch(seqs[::-1], params)
+    np.testing.assert_array_equal(flipped, expected[::-1])
+
+
+def test_lone_one_step_sequence_equals_its_row_in_a_larger_batch(params):
+    """A pass over one one-step sequence runs its row twice, so no product
+    has one row: its probabilities equal that sequence's row among others."""
+    rng = np.random.default_rng(14)
+    one = seq_of(rng.normal(size=(1, 8)))
+    company = [seq_of(rng.normal(size=(t, 8))) for t in (1, 3, 1, 7)]
+    lone, _ = forward_probs(one, params)
+    for batch, at in (([one] + company, 0), (company + [one], 4), ([one, one], 1)):
+        probs, _ = forward_probs_batch(batch, params)
+        np.testing.assert_array_equal(probs[at], lone)
