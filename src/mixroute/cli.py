@@ -1,11 +1,12 @@
 """Pipeline CLI: calibrate, collect, train-klst, train-grpo, eval, export.
 
-Every stage writes its artifacts plus a manifest.json (config hash, seed,
-input/output file hashes) under <output_dir>/<stage>/. Re-running a stage
-with the same config and seed reproduces every artifact byte-identically;
-manifests therefore carry no timestamps. Downstream stages refuse upstream
-artifacts produced under a different config hash, and check the sha256 of
-each upstream file against its manifest.
+Every stage writes its artifacts plus a manifest.json (the hash of the
+config keys its outputs depend on, seed, input/output file hashes) under
+<output_dir>/<stage>/. Re-running a stage with the same config and seed
+reproduces every artifact byte-identically; manifests therefore carry no
+timestamps. A stage refuses an upstream manifest whose hash differs from
+the upstream stage's hash under the current config, and checks the sha256
+of each upstream file against its manifest.
 
 Exit codes: 0 success, 2 config error, 3 invariant/calibration failure,
 4 missing, unreadable, malformed or modified artifact.
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from . import evaluation, grpo, klst
-from .config import ConfigValidationError, RunConfig, load_run_config
+from .config import STAGE_KEYS, ConfigValidationError, RunConfig, load_run_config
 from .env import EnvConfigError, FixedLow, KlstCollect, make_policy_pair, run_drivers
 from .evaluation import BaselineSpec, sweep
 from .router import CheckpointError, RouterParams, load_params, save_params
@@ -49,7 +50,7 @@ def _write_manifest(stage_dir: Path, stage: str, cfg: RunConfig,
                     extra: dict | None = None) -> None:
     manifest = {
         "stage": stage,
-        "config_hash": cfg.config_hash,
+        "config_hash": cfg.config_hash(stage),
         "seed": cfg.master_seed,
         "inputs": {
             name: {"path": str(p), "sha256": _sha256(p)}
@@ -92,8 +93,8 @@ def _load(path: Path, load):
 
 def _upstream(cfg: RunConfig, stage_dir: Path, stage: str, name: str, load):
     """Output ``name`` of the ``stage`` run in ``stage_dir``: its manifest
-    must have the written shape and this config's hash, and the file the
-    sha256 recorded there. Returns ``(path, load(path))``."""
+    must have the written shape and ``stage``'s hash under this config, and
+    the file the sha256 recorded there. Returns ``(path, load(path))``."""
     manifest_path = stage_dir / "manifest.json"
     if not manifest_path.exists():
         raise StageError(f"missing upstream artifact: {manifest_path} "
@@ -103,10 +104,11 @@ def _upstream(cfg: RunConfig, stage_dir: Path, stage: str, name: str, load):
     if problem:
         raise StageError(f"malformed upstream manifest: {manifest_path} ({problem})",
                          EXIT_MISSING)
-    if manifest["config_hash"] != cfg.config_hash:
+    if manifest["config_hash"] != cfg.config_hash(stage):
         raise StageError(
             f"config hash mismatch against {manifest_path}: upstream artifacts were "
-            "produced under a different configuration",
+            f"produced under other values of the {stage} keys "
+            f"({', '.join(STAGE_KEYS[stage])})",
             EXIT_CONFIG,
         )
     entry = manifest["outputs"].get(name)
@@ -255,14 +257,10 @@ def cmd_train_klst(cfg: RunConfig) -> int:
     return EXIT_OK
 
 
-def cmd_train_grpo(cfg: RunConfig, checkpoint: Path | None = None) -> int:
+def cmd_train_grpo(cfg: RunConfig) -> int:
     stage = _stage_dir(cfg, "grpo")
-    load = partial(load_params, config=cfg.router)
-    if checkpoint is None:
-        checkpoint, init_params = _upstream(cfg, cfg.output_dir / "klst", "train-klst",
-                                            "checkpoint", load)
-    else:
-        init_params = _load(Path(checkpoint), load)
+    checkpoint, init_params = _upstream(cfg, cfg.output_dir / "klst", "train-klst",
+                                        "checkpoint", partial(load_params, config=cfg.router))
 
     pair = make_policy_pair(cfg.env)
     result = grpo.train_grpo(cfg.env, pair, init_params, cfg.grpo, cfg.reward)
@@ -311,13 +309,9 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     csv_path = stage / "report.csv"
     json_path = stage / "report.json"
-    frontier_path = stage / "frontier.csv"
     evaluation.save_report_csv(reports, csv_path)
     evaluation.save_report_json(reports, json_path)
-    evaluation.save_frontier_csv(reports, frontier_path)
-    _write_manifest(stage, "eval", cfg,
-                    {"report_csv": csv_path, "report_json": json_path,
-                     "frontier": frontier_path},
+    _write_manifest(stage, "eval", cfg, {"report_csv": csv_path, "report_json": json_path},
                     inputs=inputs)
     for r in reports:
         g = "undefined" if r.ghc is None else f"{r.ghc:.3f}"
@@ -375,8 +369,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub.add_parser("train-klst", help="stage-1 supervised router training")
 
     p_grpo = sub.add_parser("train-grpo", help="stage-2 cost-aware policy optimization")
-    p_grpo.add_argument("--checkpoint", type=Path, default=None,
-                        help="explicit stage-1 checkpoint (defaults to the klst stage output)")
     p_grpo.add_argument("--lambda-high", dest="grpo.lambda_high", type=float, default=None,
                         metavar="LAMBDA_HIGH")
     p_grpo.add_argument("--beta", dest="grpo.beta", type=float, default=None, metavar="BETA")
@@ -397,7 +389,6 @@ def main(argv=None) -> int:
     overrides = vars(_build_parser().parse_args(argv))
     command = overrides.pop("command")
     config_path = overrides.pop("config")
-    checkpoint = overrides.pop("checkpoint", None)
     try:
         cfg = load_run_config(config_path, overrides)
     except ConfigValidationError as exc:
@@ -408,12 +399,11 @@ def main(argv=None) -> int:
         "calibrate": cmd_calibrate,
         "collect": cmd_collect,
         "train-klst": cmd_train_klst,
+        "train-grpo": cmd_train_grpo,
         "eval": cmd_eval,
         "export": cmd_export,
     }
     try:
-        if command == "train-grpo":
-            return cmd_train_grpo(cfg, checkpoint=checkpoint)
         return commands[command](cfg)
     except StageError as exc:
         print(exc, file=sys.stderr)

@@ -50,7 +50,6 @@ DEFAULTS: dict = {
         "num_layers": 2,
         "num_heads": 4,
         "ffn_dim": 256,
-        "num_precisions": 2,
         "max_len": 64,
     },
     "klst": {
@@ -59,7 +58,6 @@ DEFAULTS: dict = {
         "epochs": 5,
         "batch_size": 64,
         "learning_rate": 1.0e-4,
-        "select_by": "balanced_accuracy",
     },
     "grpo": {
         "episode_budget": 120,
@@ -76,6 +74,23 @@ DEFAULTS: dict = {
         "random_ps": [0.2, 0.4, 0.6, 0.8],
         "mode": "greedy",
     },
+}
+
+
+# The config keys each stage's outputs depend on, its upstream stages' keys
+# included; a section name stands for all of its keys. No stage hashes
+# ``workers`` or ``output_dir``: the worker count changes no output, the
+# directory changes only paths, and every upstream file is sha256-checked
+# wherever it lies.
+_CALIBRATE_KEYS = ("seed", "env", "klst.episodes")
+_KLST_KEYS = ("seed", "env", "router", "klst")
+STAGE_KEYS: dict[str, tuple[str, ...]] = {
+    "calibrate": _CALIBRATE_KEYS,
+    "collect": _CALIBRATE_KEYS + ("klst.tau", "router.embed_dim"),
+    "train-klst": _KLST_KEYS,
+    "train-grpo": _KLST_KEYS + ("grpo",),
+    "eval": _KLST_KEYS + ("grpo", "eval"),
+    "export": _KLST_KEYS + ("grpo", "eval"),
 }
 
 
@@ -103,14 +118,15 @@ class RunConfig:
     eval: EvalSection
     resolved: dict = field(repr=False, default_factory=dict)
 
-    @property
-    def config_hash(self) -> str:
-        """sha256 of ``resolved`` with ``workers`` at its default: the worker
-        count changes no output, so stages run with different counts share
-        their upstream artifacts."""
-        canonical = json.dumps({**self.resolved, "workers": DEFAULTS["workers"]},
-                               sort_keys=True)
-        return hashlib.sha256(canonical.encode("utf-8")).hexdigest()
+    def config_hash(self, stage: str) -> str:
+        """sha256 of the resolved values of ``STAGE_KEYS[stage]``."""
+        values = {}
+        for dotted in STAGE_KEYS[stage]:
+            node = self.resolved
+            for part in dotted.split("."):
+                node = node[part]
+            values[dotted] = node
+        return hashlib.sha256(json.dumps(values, sort_keys=True).encode("utf-8")).hexdigest()
 
 
 class _UnusableValue(ValueError):
@@ -221,8 +237,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     r = resolved["router"]
     router = build("router", lambda: RouterConfig(
         **{key: _integer(f"router.{key}", r[key])
-           for key in ("embed_dim", "num_layers", "num_heads", "ffn_dim",
-                       "num_precisions", "max_len")}
+           for key in ("embed_dim", "num_layers", "num_heads", "ffn_dim", "max_len")}
     ))
     k = resolved["klst"]
     labeling = build("klst.tau", lambda: LabelingConfig(threshold=_real("klst.tau", k["tau"])))
@@ -232,7 +247,6 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         learning_rate=_rate("klst.learning_rate",
                             _real("klst.learning_rate", k["learning_rate"])),
         seed=seed,
-        select_by=str(k["select_by"]),
     ))
     collect_episodes = build("klst.episodes",
                              lambda: _integer("klst.episodes", k["episodes"]))
@@ -269,12 +283,6 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         if any(not 0.0 <= p <= 1.0 for p in eval_section.random_ps):
             violations.append("eval.random_ps entries must lie in [0, 1]")
 
-    # cross-section consistency
-    if router is not None and router.num_precisions != 2:
-        violations.append(
-            "router.num_precisions must be 2: the synthetic world provides "
-            "exactly one low/high policy pair"
-        )
     if workers is not None and workers < 1:
         violations.append("workers must be >= 1")
     if seed is not None and seed < 0:

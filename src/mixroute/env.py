@@ -514,10 +514,6 @@ class Trajectory:
     n_high: int
     n_steps: int
 
-    @property
-    def high_ratio(self) -> float:
-        return self.n_high / self.n_steps if self.n_steps else 0.0
-
 
 # --- rollout drivers ----------------------------------------------------------
 

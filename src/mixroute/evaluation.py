@@ -13,8 +13,6 @@ import json
 from dataclasses import dataclass, field
 from pathlib import Path
 
-import numpy as np
-
 from .env import (
     EnvConfig,
     FixedHigh,
@@ -91,7 +89,6 @@ class EvalReport:
     weak_success_rate: float
     ghc: float | None
     master_seed: int
-    macro_high_ratio: float = 0.0  # per-episode mean of S/T, exposed for comparison
     episodes: list[EpisodeRow] = field(default_factory=list)
 
 
@@ -112,7 +109,6 @@ def _report(spec: BaselineSpec, trajectories, master_seed: int,
         weak_success_rate=weak,
         ghc=ghc(success, weak, micro),
         master_seed=master_seed,
-        macro_high_ratio=float(np.mean([t.high_ratio for t in trajectories])),
         episodes=[EpisodeRow(t.episode_seed, t.success, t.n_high, t.n_steps)
                   for t in trajectories],
     )
@@ -189,7 +185,6 @@ def save_report_json(reports, path) -> None:
             "n_episodes": r.n_episodes,
             "success_rate": r.success_rate,
             "high_ratio": r.high_ratio,
-            "macro_high_ratio": r.macro_high_ratio,
             "weak_success_rate": r.weak_success_rate,
             "ghc": r.ghc,
             "master_seed": r.master_seed,
@@ -216,7 +211,6 @@ def load_report_json(path) -> list[EvalReport]:
             weak_success_rate=r["weak_success_rate"],
             ghc=r["ghc"],
             master_seed=r["master_seed"],
-            macro_high_ratio=r["macro_high_ratio"],
             episodes=[EpisodeRow(e["episode_seed"], e["success"], e["S"], e["T"])
                       for e in r["episodes"]],
         )

@@ -166,7 +166,6 @@ def save_dataset(dataset: SupervisionDataset, path, cdf_path) -> None:
                 "episode": r.episode,
                 "t": r.t,
                 "embedding": [float(v) for v in r.sequence.embeddings[-1]],
-                "mask_len": r.sequence.length,
                 "D": r.d_t,
                 "y": r.label,
                 "crit": r.critical,
@@ -210,15 +209,12 @@ class KlstTrainConfig:
     batch_size: int = 64
     learning_rate: float = 1e-4
     seed: int = 0
-    select_by: str = "balanced_accuracy"  # or "accuracy"
 
     def __post_init__(self):
         if self.epochs < 1 or self.batch_size < 1:
             raise ValueError("epochs and batch_size must be >= 1")
         if not (math.isfinite(self.learning_rate) and self.learning_rate > 0):
             raise ValueError("learning_rate must be finite and > 0")
-        if self.select_by not in ("balanced_accuracy", "accuracy"):
-            raise ValueError("select_by must be balanced_accuracy or accuracy")
 
 
 @dataclass
@@ -275,7 +271,7 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
 
     The 90/10 validation split is by episode (steps within an episode are
     correlated). Returns the epoch checkpoint with the best validation
-    score; ties keep the earliest epoch.
+    balanced accuracy; ties keep the earliest epoch.
     """
     records = dataset.records
     if not records:
@@ -316,9 +312,8 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
         train_loss = epoch_loss / max(len(train_records), 1)
         acc, balanced = _validation_metrics(params, val_records, config.batch_size)
         history.append(EpochMetrics(epoch, train_loss, acc, balanced))
-        score = balanced if config.select_by == "balanced_accuracy" else acc
-        if score > best_score:
-            best_score = score
+        if balanced > best_score:
+            best_score = balanced
             best_epoch = epoch
             best_params = params.copy()
 

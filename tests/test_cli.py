@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import shutil
 import struct
 from pathlib import Path
 
@@ -17,7 +18,7 @@ from mixroute.cli import (
     EXIT_OK,
     main,
 )
-from mixroute.config import ConfigValidationError, load_run_config
+from mixroute.config import DEFAULTS, STAGE_KEYS, ConfigValidationError, load_run_config
 from mixroute.env import FixedHigh, make_policy_pair, run_episodes
 from mixroute.router import load_params
 
@@ -101,12 +102,24 @@ def test_config_rejects_retired_dropout_key(tmp_path):
     assert "unknown key router.dropout" in str(err.value)
 
 
+@pytest.mark.parametrize("key", ["router.num_precisions", "klst.select_by"])
+def test_config_rejects_retired_keys(tmp_path, key):
+    """Keys that were no-ops are gone: a YAML that sets one is refused."""
+    section, name = key.split(".")
+    path = tmp_path / "config.yaml"
+    path.write_text(yaml.safe_dump({section: {name: 2}}))
+    with pytest.raises(ConfigValidationError) as err:
+        load_run_config(path)
+    assert f"unknown key {key}" in str(err.value)
+
+
 def test_config_hash_is_stable_and_sensitive():
     a = load_run_config(None)
     b = load_run_config(None)
-    assert a.config_hash == b.config_hash
+    assert all(a.config_hash(stage) == b.config_hash(stage) for stage in STAGE_KEYS)
     c = load_run_config(None, {"klst.tau": 0.8})
-    assert c.config_hash != a.config_hash
+    assert c.config_hash("calibrate") == a.config_hash("calibrate")
+    assert c.config_hash("collect") != a.config_hash("collect")
 
 
 def test_float_keys_take_numeric_strings_and_keep_the_hash(tmp_path):
@@ -117,9 +130,10 @@ def test_float_keys_take_numeric_strings_and_keep_the_hash(tmp_path):
     cfg = load_run_config(path)
     assert cfg.klst_train.learning_rate == 1e-4
     assert cfg.grpo.beta == 0.5
-    assert cfg.config_hash == "487251b25cb66e81eeddb5821926c6efee9b4e7e0a8ba2c0ab79d87d05a002e5"
-    assert load_run_config(None).config_hash == \
-        "a5185b663b79ab593c000f12a4f826a65037303fca44d0974db76cac7f188375"
+    assert cfg.config_hash("eval") == \
+        "7998724cf4f0c8ebf1c7443ce8ec15bdeef0932aa62ae3f5a62ad6209f83ed74"
+    assert load_run_config(None).config_hash("eval") == \
+        "585eec88f2c2ce48cba03d9fafebffade4235960da42ff5923a4305518f61490"
 
 
 def test_invalid_config_exits_2_without_artifacts(tmp_path):
@@ -427,15 +441,22 @@ def _zero_embed_dim_header(path):
     lambda out: _zero_embed_dim_header(out / "bad.ckpt"),
 ], ids=["dataset-file", "directory", "zero-embed-dim-header"])
 def test_train_grpo_rejects_non_checkpoint(tmp_path, capsys, make_checkpoint):
-    """A --checkpoint file that cannot be read as a router checkpoint exits
-    4, naming the file."""
+    """A klst manifest whose checkpoint entry names a file that cannot be
+    read as a router checkpoint, with that file's sha256 recorded, exits 4,
+    naming the file."""
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)
     assert main(["--config", str(cfg), "collect"]) == EXIT_OK
+    assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
     checkpoint = make_checkpoint(out)
+    manifest_path = out / "klst" / "manifest.json"
+    manifest = json.loads(manifest_path.read_text())
+    manifest["outputs"]["checkpoint"]["path"] = str(checkpoint)
+    manifest_path.write_text(json.dumps(manifest))
+    if checkpoint.is_file():
+        _record_sha256(manifest_path, "checkpoint", checkpoint)
     capsys.readouterr()
-    code = main(["--config", str(cfg), "train-grpo", "--checkpoint", str(checkpoint)])
-    assert code == EXIT_MISSING
+    assert main(["--config", str(cfg), "train-grpo"]) == EXIT_MISSING
     assert str(checkpoint) in capsys.readouterr().err
 
 
@@ -455,6 +476,102 @@ def test_workers_take_no_part_in_the_config_hash(tmp_path):
     cfg = write_config(tmp_path, out)
     assert main(["--config", str(cfg), "--workers", "2", "collect"]) == EXIT_OK
     assert main(["--config", str(cfg), "train-klst"]) == EXIT_OK
+
+
+# One value per leaf key of DEFAULTS, each unlike the base config's below.
+# Every leaf but workers and output_dir, which no stage hashes, is here.
+ALTERNATIVES = {
+    "seed": 1,
+    "env.horizon": 10,
+    "env.actions": 5,
+    "env.critical_steps": [2, 5],
+    "env.n_critical": 3,
+    "env.n_correct_paths": 2,
+    "env.divergence_low": 0.02,
+    "env.divergence_high": 0.9,
+    "env.seed": 1,
+    "router.embed_dim": 12,
+    "router.num_layers": 2,
+    "router.num_heads": 1,
+    "router.ffn_dim": 8,
+    "router.max_len": 20,
+    "klst.episodes": 16,
+    "klst.tau": 0.5,
+    "klst.epochs": 2,
+    "klst.batch_size": 4,
+    "klst.learning_rate": 1.0e-3,
+    "grpo.episode_budget": 8,
+    "grpo.group_size": 4,
+    "grpo.beta": 0.5,
+    "grpo.learning_rate": 1.0e-5,
+    "grpo.lr_scale": 10.0,
+    "grpo.lambda_high": 0.2,
+    "grpo.lambda_step": 0.05,
+    "eval.episodes": 6,
+    "eval.episode_seed_start": 7,
+    "eval.random_ps": [0.25],
+    "eval.mode": "sampled",
+}
+TINY = {"router.embed_dim": 8, "router.num_layers": 1, "router.ffn_dim": 16,
+        "klst.episodes": 12, "grpo.episode_budget": 4, "grpo.group_size": 2,
+        "eval.episodes": 4, "eval.random_ps": [0.5]}
+STAGE_DIRS = {"calibrate": "calibrate", "collect": "collect", "train-klst": "klst",
+              "train-grpo": "grpo", "eval": "eval", "export": "export"}
+READS = {"train-klst": ("collect",), "train-grpo": ("train-klst",),
+         "eval": ("train-klst", "train-grpo"), "export": ("eval",)}
+
+
+def _leaves(node, prefix=""):
+    for key, value in node.items():
+        if isinstance(value, dict):
+            yield from _leaves(value, f"{prefix}{key}.")
+        else:
+            yield prefix + key
+
+
+def _hashes(stage, key):
+    return any(key == k or key.startswith(k + ".") for k in STAGE_KEYS[stage])
+
+
+def _files(directory):
+    return {p.name: p.read_bytes() for p in directory.iterdir()}
+
+
+def test_each_stage_hashes_the_keys_its_outputs_depend_on(tmp_path):
+    """On outputs made under a base config, each stage re-run with one key
+    changed exits 2 if a stage it reads from hashes the key; leaves its
+    files byte-identical, manifest included, if it does not hash the key;
+    and otherwise writes other outputs. So a grpo key leaves train-klst's
+    outputs usable, an env or klst key is refused downstream, and eval
+    refuses a grpo checkpoint made under another grpo key."""
+    assert set(_leaves(DEFAULTS)) - {"workers", "output_dir"} == set(ALTERNATIVES)
+    out = tmp_path / "out"
+    base = tmp_path / "base.yaml"
+    base.write_text(yaml.safe_dump(small_config(out, **TINY)))
+    codes = {stage: main(["--config", str(base), stage]) for stage in STAGE_DIRS}
+    assert codes["export"] == EXIT_OK
+    before = {stage: _files(out / name) for stage, name in STAGE_DIRS.items()}
+    problems = []
+    for key, value in ALTERNATIVES.items():
+        changed = tmp_path / "changed.yaml"
+        changed.write_text(yaml.safe_dump(small_config(out, **{**TINY, key: value})))
+        for stage, name in STAGE_DIRS.items():
+            code = main(["--config", str(changed), stage])
+            after = _files(out / name)
+            if any(_hashes(upstream, key) for upstream in READS.get(stage, ())):
+                if (code, after) != (EXIT_CONFIG, before[stage]):
+                    problems.append(f"{stage} under {key}: exit {code}, not a refusal")
+            elif not _hashes(stage, key):
+                if (code, after) != (codes[stage], before[stage]):
+                    problems.append(f"{stage} under {key}: outputs changed")
+            elif ({n: b for n, b in after.items() if n != "manifest.json"}
+                  == {n: b for n, b in before[stage].items() if n != "manifest.json"}):
+                problems.append(f"{stage} under {key}: outputs unchanged")
+            shutil.rmtree(out / name)
+            (out / name).mkdir()
+            for file, data in before[stage].items():
+                (out / name / file).write_bytes(data)
+    assert not problems
 
 
 def test_group_size_flag_of_one_exits_2(tmp_path, capsys):
@@ -481,10 +598,9 @@ def test_each_flag_overrides_its_config_key(monkeypatch, argv, overrides):
     """A flag gives the stage the config that the override of its key gives;
     --out is stored as a path, so a trailing slash does not change the hash."""
     captured = []
-    for name in ("cmd_calibrate", "cmd_collect", "cmd_train_klst", "cmd_eval", "cmd_export"):
+    for name in ("cmd_calibrate", "cmd_collect", "cmd_train_klst", "cmd_train_grpo",
+                 "cmd_eval", "cmd_export"):
         monkeypatch.setattr(cli, name, lambda cfg: captured.append(cfg) or EXIT_OK)
-    monkeypatch.setattr(cli, "cmd_train_grpo",
-                        lambda cfg, checkpoint=None: captured.append(cfg) or EXIT_OK)
     assert main(argv) == EXIT_OK
     assert captured[0].resolved == load_run_config(None, overrides).resolved
 

@@ -1,5 +1,6 @@
 """KL divergence, CDF labeling, class weights, dataset IO and stage-1 training."""
 
+import json
 import math
 
 import numpy as np
@@ -293,6 +294,14 @@ def test_dataset_round_trip(tmp_path):
         assert (a.sequence.embeddings == b.sequence.embeddings).all()
         assert a.sequence.length == b.sequence.length
     assert cdf_path.exists()
+    # a line that still carries mask_len, the prefix length, loads alike
+    old = tmp_path / "old.jsonl"
+    old.write_text("".join(
+        json.dumps({**json.loads(line), "mask_len": r.sequence.length}) + "\n"
+        for line, r in zip(path.read_text().splitlines(), dataset.records)))
+    for a, b in zip(loaded.records, load_dataset(old).records):
+        assert (a.episode, a.t, a.label, a.d_t) == (b.episode, b.t, b.label, b.d_t)
+        assert (a.sequence.embeddings == b.sequence.embeddings).all()
 
 
 def test_build_supervision_dataset_positive_rate():
