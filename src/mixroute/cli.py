@@ -142,9 +142,10 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     # One reset per seed serves its fixed_low episode and its klst collection
     # episode. klst collection rolls out exactly the fixed_high episodes and
     # keeps the successful ones, so its count is fixed_high's success count.
+    # Only D values are written, so no step is embedded.
     low, collection = run_drivers(cfg.env, pair, [FixedLow(), KlstCollect()], range(n),
-                                  master_seed=cfg.master_seed,
-                                  embed_dim=cfg.router.embed_dim, workers=cfg.workers)
+                                  master_seed=cfg.master_seed, embed_dim=None,
+                                  workers=cfg.workers)
     collected, stats = klst.keep_successful(collection)
     d_values = np.sort(np.asarray(
         [s.d_t for traj in collected for s in traj.steps], dtype=np.float64

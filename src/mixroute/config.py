@@ -218,6 +218,27 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             violations.append(f"{name}: {exc}")
         return None
 
+    # Each float key's value is written back as the float it validates to,
+    # and critical_steps as the sorted set it stands for, so the stage
+    # hashes see configs that load equal as equal.
+    def real(dotted: str) -> float:
+        section, key = dotted.split(".")
+        resolved[section][key] = _real(dotted, resolved[section][key])
+        return resolved[section][key]
+
+    def reals(dotted: str) -> list[float]:
+        section, key = dotted.split(".")
+        resolved[section][key] = [_real(f"{dotted}[{i}]", v)
+                                  for i, v in enumerate(resolved[section][key])]
+        return resolved[section][key]
+
+    def critical_steps() -> frozenset[int] | None:
+        if e["critical_steps"] is None:
+            return None
+        e["critical_steps"] = sorted({_integer(f"env.critical_steps[{i}]", t)
+                                      for i, t in enumerate(e["critical_steps"])})
+        return frozenset(e["critical_steps"])
+
     seed = build("seed", lambda: _integer("seed", resolved["seed"]))
     workers = build("workers", lambda: _integer("workers", resolved["workers"]))
     output_dir = build("output_dir", lambda: Path(resolved["output_dir"]))
@@ -225,13 +246,11 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     env = build("env", lambda: EnvConfig(
         horizon=_integer("env.horizon", e["horizon"]),
         action_space=ActionSpace(_integer("env.actions", e["actions"])),
-        critical_steps=(frozenset(_integer(f"env.critical_steps[{i}]", t)
-                                  for i, t in enumerate(e["critical_steps"]))
-                        if e["critical_steps"] is not None else None),
+        critical_steps=critical_steps(),
         n_critical=_integer("env.n_critical", e["n_critical"]),
         n_correct_paths=_integer("env.n_correct_paths", e["n_correct_paths"]),
-        divergence_low=_real("env.divergence_low", e["divergence_low"]),
-        divergence_high=_real("env.divergence_high", e["divergence_high"]),
+        divergence_low=real("env.divergence_low"),
+        divergence_high=real("env.divergence_high"),
         seed=_integer("env.seed", e["seed"]),
     ))
     r = resolved["router"]
@@ -240,12 +259,11 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
            for key in ("embed_dim", "num_layers", "num_heads", "ffn_dim", "max_len")}
     ))
     k = resolved["klst"]
-    labeling = build("klst.tau", lambda: LabelingConfig(threshold=_real("klst.tau", k["tau"])))
+    labeling = build("klst.tau", lambda: LabelingConfig(threshold=real("klst.tau")))
     klst_train = build("klst", lambda: KlstTrainConfig(
         epochs=_integer("klst.epochs", k["epochs"]),
         batch_size=_integer("klst.batch_size", k["batch_size"]),
-        learning_rate=_rate("klst.learning_rate",
-                            _real("klst.learning_rate", k["learning_rate"])),
+        learning_rate=_rate("klst.learning_rate", real("klst.learning_rate")),
         seed=seed,
     ))
     collect_episodes = build("klst.episodes",
@@ -255,22 +273,21 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
     g = resolved["grpo"]
     grpo_cfg = build("grpo", lambda: GRPOConfig(
         group_size=_integer("grpo.group_size", g["group_size"]),
-        beta=_real("grpo.beta", g["beta"]),
+        beta=real("grpo.beta"),
         learning_rate=_rate("grpo.learning_rate * grpo.lr_scale",
-                            _real("grpo.learning_rate", g["learning_rate"])
-                            * _real("grpo.lr_scale", g["lr_scale"])),
+                            real("grpo.learning_rate") * real("grpo.lr_scale")),
         episode_budget=_integer("grpo.episode_budget", g["episode_budget"]),
         seed=seed,
     ))
     reward = build("grpo costs", lambda: RewardConfig(
-        lambda_high=_real("grpo.lambda_high", g["lambda_high"]),
-        lambda_step=_real("grpo.lambda_step", g["lambda_step"]),
+        lambda_high=real("grpo.lambda_high"),
+        lambda_step=real("grpo.lambda_step"),
     ))
     ev = resolved["eval"]
     eval_section = build("eval", lambda: EvalSection(
         episodes=_integer("eval.episodes", ev["episodes"]),
         episode_seed_start=_integer("eval.episode_seed_start", ev["episode_seed_start"]),
-        random_ps=[_real(f"eval.random_ps[{i}]", p) for i, p in enumerate(ev["random_ps"])],
+        random_ps=reals("eval.random_ps"),
         mode=str(ev["mode"]),
     ))
     if eval_section is not None:
@@ -302,7 +319,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         collect_episodes=collect_episodes,
         grpo=grpo_cfg,
         reward=reward,
-        grpo_lr_scale=_real("grpo.lr_scale", g["lr_scale"]),
+        grpo_lr_scale=g["lr_scale"],
         eval=eval_section,
         resolved=resolved,
     )

@@ -557,21 +557,24 @@ Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 
 def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int,
-             sample_index: int, embed_dim: int):
+             sample_index: int, embed_dim: int | None):
     """One episode's step loop from ``state``, as a generator.
 
     At each router decision it yields the step's StepSequence and takes the
     router's probabilities back; it returns the finished Trajectory. Only
-    the RNG streams the driver draws from are built. Klst collection keeps a
-    copy of each step's low and high rows and computes every D_t in one pass
-    once the episode ends.
+    the RNG streams the driver draws from are built: a greedy router draws
+    none. Klst collection keeps a copy of each step's low and high rows and
+    computes every D_t in one pass once the episode ends; with ``embed_dim``
+    None it records no step embeddings.
     """
     key = (state.episode_seed, sample_index)
     policy_rng = _rng(master_seed, STREAM_POLICY, *key)
     driver_rng = _rng(master_seed, STREAM_DRIVER, *key) if isinstance(driver, RandomDriver) else None
-    router_rng = _rng(master_seed, STREAM_ROUTER, *key) if isinstance(driver, RouterDriver) else None
+    routed = isinstance(driver, RouterDriver)
+    router_rng = (_rng(master_seed, STREAM_ROUTER, *key)
+                  if routed and driver.mode == "sampled" else None)
     collect = isinstance(driver, KlstCollect)
-    record_embeddings = collect or isinstance(driver, RouterDriver)
+    record_embeddings = (collect and embed_dim is not None) or routed
     rows: list[tuple] = []  # each step's TrajStep fields but d_t
     embeddings: list[np.ndarray] = []
     lows: list[np.ndarray] = []
@@ -596,7 +599,7 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
             lows.append(np.array(pair.low(state), dtype=np.float64))
             highs.append(np.array(pair.high(state), dtype=np.float64))
             executed = HIGH
-        elif isinstance(driver, RouterDriver):
+        elif routed:
             probs = yield StepSequence.of(np.asarray(embeddings))
             choice = choose_precision(probs, driver.mode, router_rng)
             executed = HIGH if choice == HIGH else LOW
@@ -631,7 +634,8 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
 
 
 def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
-                     master_seed: int = 0, embed_dim: int = 64) -> list[Trajectory]:
+                     master_seed: int = 0, embed_dim: int | None = 64,
+                     passes: list | None = None) -> list[Trajectory]:
     """Run ``(driver, episode_seed, sample_index)`` members in lockstep.
 
     Each distinct episode seed is reset once, so its members share one task
@@ -644,6 +648,12 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     each router as one stack. A member's sampling streams are keyed by its
     episode seed and sample index, never by its place in ``members``, so
     each trajectory is bitwise equal to the member's own ``rollout``.
+
+    Given a ``passes`` list, each router pass appends ``(live, probs,
+    backward)``: the indices in ``members`` it decided for, in order, its
+    probabilities and its ``forward_probs_batch`` backward closure, so a
+    caller can backpropagate through the rollout's own passes. Otherwise
+    the closures are dropped as each round ends.
     """
     starts: dict[int, EnvState] = {}
     episodes = []
@@ -686,8 +696,10 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
         for i in requests:
             by_router.setdefault(id(members[i][0].params), []).append(i)
         for live in by_router.values():
-            probs, _ = forward_probs_batch([requests.pop(i) for i in live],
-                                           members[live[0]][0].params)
+            probs, backward = forward_probs_batch([requests.pop(i) for i in live],
+                                                  members[live[0]][0].params)
+            if passes is not None:
+                passes.append((live, probs, backward))
             for row, i in enumerate(live):
                 advance(i, probs[row])
     return trajectories
@@ -722,7 +734,7 @@ def _chunk_job(args) -> list[list[Trajectory]]:
 
 
 def run_drivers(config: EnvConfig, pair: PolicyPair, drivers, episode_seeds,
-                master_seed: int = 0, embed_dim: int = 64,
+                master_seed: int = 0, embed_dim: int | None = 64,
                 workers: int = 1) -> list[list[Trajectory]]:
     """Every driver's episode on every seed: one column per driver, ordered
     by the given seeds.

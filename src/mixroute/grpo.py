@@ -4,8 +4,9 @@ Groups of rollouts are sampled on the same task instance under the current
 router; returns mix task success with per-call and per-step cost penalties;
 advantages are normalized within each group; the policy-gradient update is
 regularized by a KL anchor to the stage-1 checkpoint. No value function,
-no importance-ratio clipping: log-probs are recomputed under the current
-parameters and each sampled batch is used for exactly one update.
+no importance-ratio clipping: each sampled batch is used for exactly one
+update, under the parameters that sampled it, so the update backpropagates
+through the rollout's own router passes.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 
 import numpy as np
 
@@ -115,19 +117,51 @@ class GrpoLoss:
     total: float
 
 
+def _recorded_rows(items, passes):
+    """The rollout's recorded ``(members, probs, backward)`` passes with each
+    row mapped to its state: row j of a pass is member ``members[j]``'s next
+    decision. Member m is the m-th trajectory of ``items``; it must appear in
+    exactly as many passes as it has decisions."""
+    counts = [len(decisions) for _, decisions in items]
+    first = [0, *accumulate(counts)]
+    taken = [0] * len(items)
+    out = []
+    for members, probs, backward in passes:
+        if len(probs) != len(members) or not all(0 <= m < len(items) for m in members):
+            raise TrajectoryDataError(f"a recorded pass of {len(probs)} rows names members "
+                                      f"{members} of {len(items)} trajectories")
+        rows = []
+        for m in members:
+            rows.append(first[m] + taken[m])
+            taken[m] += 1
+        out.append((rows, probs, backward))
+    if taken != counts:
+        raise TrajectoryDataError(f"trajectories with {counts} decisions appear in "
+                                  f"{taken} recorded passes")
+    return out
+
+
 def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
-                        config: GRPOConfig) -> GrpoLoss:
+                        config: GRPOConfig, passes=None) -> GrpoLoss:
     """Evaluate -E[A * sum_t log pi(r_t|s_t)] + beta * KL(pi || pi_0) and leave
     its gradient in the parameter tensors.
 
     The KL term is estimated over the states visited in this batch. The
-    states that share a sequence length go through the router as one stack,
-    one forward/backward pass carrying both the policy-gradient and the
-    KL-penalty contributions; each stack's backward runs before the next
-    stack's forward, and the loss terms are summed state by state in
-    trajectory order. One packed pass over all the states would hold every
-    length's activations at once: for a group of eight, a traced peak of
-    11.9 MB against 1.8 MB.
+    current router's probabilities come in passes, each a stack of states
+    with its backward closure; a pass carries both the policy-gradient and
+    the KL-penalty contributions. Each pass's anchor forward runs just
+    before its backward, the backwards run in pass order, and the loss
+    terms are summed state by state in trajectory order.
+
+    ``passes`` are the recorded router passes of the one group's rollout
+    (``rollout_lockstep``'s ``passes``), taken under ``params`` with no
+    update since: the loss backpropagates through them and runs no second
+    forward. Without them, the states that share a sequence length go
+    through the router as one stack, each stack's forward just before its
+    backward. Round r of a rollout holds the members live after r steps, in
+    member order: the length-(r + 1) stack, so both give the same bits
+    unless ``max_len`` truncates, where the recorded rounds sum the
+    gradient in another order.
     """
     items = [(float(adv), _decision_sequences(traj, params.config.max_len))
              for group in groups for traj, adv in zip(group.trajectories, group.advantages)]
@@ -136,14 +170,18 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
     n_traj = len(items)
     states = [(seq, choice, adv) for adv, decisions in items for seq, choice in decisions]
     n_states = len(states)
+    if passes is None:
+        seqs = [seq for seq, _, _ in states]
+        passes = ((rows, *forward_probs_batch([seqs[i] for i in rows], params))
+                  for rows in shape_stacks(seqs))
+    else:
+        passes = _recorded_rows(items, passes)
 
     params.zero_grads()
     log_pick = [0.0] * n_states  # log pi(r_t | s_t), floored
     kl_terms = [0.0] * n_states  # KL(pi || pi_0) at s_t
-    for rows in shape_stacks([seq for seq, _, _ in states]):
-        batch = [states[i][0] for i in rows]
-        probs, backward = forward_probs_batch(batch, params)
-        anchor_probs = forward_probs_batch(batch, anchor.params)[0]
+    for rows, probs, backward in passes:
+        anchor_probs = forward_probs_batch([states[i][0] for i in rows], anchor.params)[0]
         pf = np.maximum(probs, PROB_FLOOR)
         log_ratio = np.log(pf / np.maximum(anchor_probs, PROB_FLOOR))
         dprobs = np.zeros_like(probs)
@@ -171,10 +209,11 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
 
 
 def grpo_update(groups, params: RouterParams, anchor: AnchorSnapshot,
-                config: GRPOConfig) -> GrpoLoss:
-    """One Adam step on the GRPO loss; log-probs are recomputed under the
-    current parameters (strictly on-policy, one update per sampled batch)."""
-    loss = grpo_loss_and_grads(groups, params, anchor, config)
+                config: GRPOConfig, passes=None) -> GrpoLoss:
+    """One Adam step on the GRPO loss under the current parameters (strictly
+    on-policy, one update per sampled batch); ``passes`` as for
+    ``grpo_loss_and_grads``."""
+    loss = grpo_loss_and_grads(groups, params, anchor, config, passes)
     adam = AdamConfig(learning_rate=config.learning_rate)
     for _, tensor in params.tensors():
         adam_step(tensor, adam)
@@ -206,7 +245,10 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
 
     Each group shares one task instance (same episode seed); its members
     differ only in their sampling streams and are rolled out in lockstep.
-    One update is applied per group.
+    One update is applied per group, backpropagating through the router
+    passes its rollout ran: each state gets one current-router forward.
+    The passes are held until the update, about 500 packed rows for a
+    group of eight.
     """
     params = init_params.copy()
     anchor = AnchorSnapshot(init_params)
@@ -216,9 +258,11 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
         episode_seed = episode_seed_start + g
         driver = RouterDriver(params, mode="sampled")
         members = [(driver, episode_seed, k) for k in range(config.group_size)]
-        trajectories = rollout_lockstep(env_config, pair, members, master_seed=config.seed)
+        recorded: list = []
+        trajectories = rollout_lockstep(env_config, pair, members, master_seed=config.seed,
+                                        passes=recorded)
         group = TrajectoryGroup.build(trajectories, reward, config.epsilon)
-        loss = grpo_update([group], params, anchor, config)
+        loss = grpo_update([group], params, anchor, config, passes=recorded)
         total_steps = sum(t.n_steps for t in trajectories)
         curve.append(GroupMetrics(
             group_index=g,

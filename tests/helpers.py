@@ -1,11 +1,11 @@
 """Shared test utilities: central finite differences, relative error, a
 writer of the retired version-1 checkpoint layout, recorders of
-low-policy table solves and of router passes, the all-rows router forward,
-and the numpy categorical draw and step embedding that the leaner ones must
-equal."""
+low-policy table solves and of router passes, a field-by-field trajectory
+comparison, the all-rows router forward, and the numpy categorical draw and
+step embedding that the leaner ones must equal."""
 
 import struct
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
@@ -87,34 +87,53 @@ def record_low_solves(monkeypatch, env_module):
 @dataclass
 class RouterPass:
     """One recorded ``forward_probs_batch`` call: how many sequences it
-    held and how many times its backward ran."""
+    held, the parameters it ran and how many times its backward ran."""
 
     sequences: int
+    params: object
     backwards: int = 0
 
 
-def record_router_passes(monkeypatch, module):
-    """Patch ``module.forward_probs_batch`` to record every router pass.
+def record_router_passes(monkeypatch, *modules):
+    """Patch ``forward_probs_batch`` in each of ``modules`` to record every
+    router pass.
 
-    Returns the list of passes, each a RouterPass, in call order.
+    Returns the one list of passes, each a RouterPass, in call order.
     """
     passes = []
-    forward = module.forward_probs_batch
 
-    def recorded(seqs, params):
-        seqs = list(seqs)
-        probs, backward = forward(seqs, params)
-        entry = RouterPass(len(seqs))
-        passes.append(entry)
+    def recorder(forward):
+        def recorded(seqs, params):
+            seqs = list(seqs)
+            probs, backward = forward(seqs, params)
+            entry = RouterPass(len(seqs), params)
+            passes.append(entry)
 
-        def recorded_backward(dprobs):
-            entry.backwards += 1
-            return backward(dprobs)
+            def recorded_backward(dprobs):
+                entry.backwards += 1
+                return backward(dprobs)
 
-        return probs, recorded_backward
+            return probs, recorded_backward
 
-    monkeypatch.setattr(module, "forward_probs_batch", recorded)
+        return recorded
+
+    for module in modules:
+        monkeypatch.setattr(module, "forward_probs_batch", recorder(module.forward_probs_batch))
     return passes
+
+
+def assert_same_trajectory(a, b):
+    """Field by field; embeddings bitwise."""
+    assert (a.episode_seed, a.driver, a.success, a.n_high, a.n_steps) == \
+        (b.episode_seed, b.driver, b.success, b.n_high, b.n_steps)
+    assert len(a.steps) == len(b.steps)
+    for x, y in zip(a.steps, b.steps):
+        for f in fields(x):
+            u, v = getattr(x, f.name), getattr(y, f.name)
+            if f.name == "embedding" and u is not None:
+                assert np.array_equal(u, v)
+            else:
+                assert u == v, f.name
 
 
 def _split_heads(m, num_heads):

@@ -122,18 +122,36 @@ def test_config_hash_is_stable_and_sensitive():
     assert c.config_hash("collect") != a.config_hash("collect")
 
 
+def _stage_hashes(tmp_path, text):
+    path = tmp_path / "config.yaml"
+    path.write_text(text)
+    cfg = load_run_config(path)
+    return cfg, {stage: cfg.config_hash(stage) for stage in STAGE_KEYS}
+
+
 def test_float_keys_take_numeric_strings_and_keep_the_hash(tmp_path):
     """PyYAML reads an exponent without a dot, such as 1e-4, as a string;
-    a float key still takes it, and reading values changes no config hash."""
-    path = tmp_path / "config.yaml"
-    path.write_text("klst:\n  learning_rate: 1e-4\ngrpo:\n  beta: '0.5'\n")
-    cfg = load_run_config(path)
+    a float key still takes it, every stage hashes it as the float it
+    stands for, and reading values changes no config hash."""
+    cfg, hashes = _stage_hashes(tmp_path, "klst:\n  learning_rate: 1e-4\n"
+                                          "grpo:\n  beta: '0.5'\n")
     assert cfg.klst_train.learning_rate == 1e-4
     assert cfg.grpo.beta == 0.5
-    assert cfg.config_hash("eval") == \
-        "7998724cf4f0c8ebf1c7443ce8ec15bdeef0932aa62ae3f5a62ad6209f83ed74"
+    assert hashes == _stage_hashes(tmp_path, "klst:\n  learning_rate: 1.0e-4\n"
+                                             "grpo:\n  beta: 0.5\n")[1]
     assert load_run_config(None).config_hash("eval") == \
         "585eec88f2c2ce48cba03d9fafebffade4235960da42ff5923a4305518f61490"
+
+
+@pytest.mark.parametrize("written, equal", [
+    ("grpo:\n  lr_scale: 100\n", "grpo:\n  lr_scale: 100.0\n"),
+    ("env:\n  critical_steps: [5, 3, 3]\n", "env:\n  critical_steps: [3, 5]\n"),
+    ("eval:\n  random_ps: [0, 1]\n", "eval:\n  random_ps: [0.0, 1.0]\n"),
+], ids=["int-in-float-key", "unsorted-critical-steps", "ints-in-float-list"])
+def test_configs_that_load_equal_hash_equal(tmp_path, written, equal):
+    """Each stage hashes a key's validated value: an int in a float key as
+    the float, critical_steps as the sorted set of steps it names."""
+    assert _stage_hashes(tmp_path, written)[1] == _stage_hashes(tmp_path, equal)[1]
 
 
 def test_invalid_config_exits_2_without_artifacts(tmp_path):
@@ -216,6 +234,30 @@ def test_calibrate_ok_and_artifacts(tmp_path, capsys):
     assert (out / "calibrate" / "d_values.csv").exists()
     report = json.loads((out / "calibrate" / "calibration.json").read_text())
     assert all(report["checks"].values())
+
+
+def test_calibrate_embeds_no_step(tmp_path, monkeypatch):
+    """Calibrate writes only D values, so its klst column embeds no step;
+    its files equal those of a calibrate whose column embeds every step."""
+    import mixroute.env as env_module
+
+    embeds = []
+    embed = env_module.embed_step
+    monkeypatch.setattr(env_module, "embed_step",
+                        lambda *args: embeds.append(args) or embed(*args))
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "calibrate"]) == EXIT_OK
+    assert embeds == []
+    made = _files(out / "calibrate")
+
+    shutil.rmtree(out)
+    run_drivers = cli.run_drivers
+    monkeypatch.setattr(cli, "run_drivers", lambda *args, **kw: run_drivers(
+        *args, **{**kw, "embed_dim": load_run_config(cfg).router.embed_dim}))
+    assert main(["--config", str(cfg), "calibrate"]) == EXIT_OK
+    assert embeds
+    assert _files(out / "calibrate") == made
 
 
 def test_calibrate_fixed_high_success_is_a_fixed_high_rollout(tmp_path):

@@ -40,7 +40,7 @@ from mixroute.env import (
 from mixroute import env as env_module
 from mixroute.router import RouterConfig, RouterParams
 
-from helpers import float_embed_step, record_low_solves
+from helpers import assert_same_trajectory, float_embed_step, record_low_solves
 
 
 @pytest.fixture(scope="module")
@@ -562,20 +562,6 @@ def test_kl_values_cluster_by_criticality(world, pair):
                 assert s.d_t < 1.5 * world.divergence_low
 
 
-def assert_same_trajectory(a, b):
-    """Field by field; embeddings bitwise."""
-    assert (a.episode_seed, a.driver, a.success, a.n_high, a.n_steps) == \
-        (b.episode_seed, b.driver, b.success, b.n_high, b.n_steps)
-    assert len(a.steps) == len(b.steps)
-    for x, y in zip(a.steps, b.steps):
-        for f in dataclasses.fields(x):
-            u, v = getattr(x, f.name), getattr(y, f.name)
-            if f.name == "embedding" and u is not None:
-                assert np.array_equal(u, v)
-            else:
-                assert u == v, f.name
-
-
 LOCKSTEP_ROUTER = RouterParams.initialize(RouterConfig(), seed=3)
 
 
@@ -619,6 +605,22 @@ def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
     for (driver, episode_seed, k), traj in zip(members, together):
         assert_same_trajectory(traj, rollout(world, pair, driver, episode_seed, master_seed=2,
                                              sample_index=k, embed_dim=32))
+
+
+def test_only_a_sampled_router_builds_a_router_stream(world, pair, monkeypatch):
+    """Greedy routing draws no random number, so it builds no router
+    stream; a sampled router builds one per member."""
+    streams = []
+    make = env_module._rng
+    monkeypatch.setattr(env_module, "_rng",
+                        lambda *key: streams.append(key) or make(*key))
+    members = [(RouterDriver(LOCKSTEP_ROUTER, mode=mode), s, k)
+               for mode in ("greedy", "sampled") for s in (3, 0) for k in (0, 2)]
+    rollout_lockstep(world, pair, members[:4], master_seed=2)
+    assert [key for key in streams if key[1] == env_module.STREAM_ROUTER] == []
+    rollout_lockstep(world, pair, members[4:], master_seed=2)
+    assert [key for key in streams if key[1] == env_module.STREAM_ROUTER] == [
+        (2, env_module.STREAM_ROUTER, s, k) for _, s, k in members[4:]]
 
 
 def test_router_driver_refuses_an_unknown_mode_before_any_reset(world, pair, monkeypatch):

@@ -7,7 +7,16 @@ import pytest
 
 from mixroute import env as env_module
 from mixroute import grpo as grpo_module
-from mixroute.env import EnvConfig, TrajStep, Trajectory, make_policy_pair, reset, rollout
+from mixroute.env import (
+    EnvConfig,
+    RouterDriver,
+    TrajStep,
+    Trajectory,
+    make_policy_pair,
+    reset,
+    rollout,
+    rollout_lockstep,
+)
 from mixroute.grpo import (
     AnchorSnapshot,
     GRPOConfig,
@@ -22,7 +31,12 @@ from mixroute.grpo import (
 )
 from mixroute.router import RouterConfig, RouterParams, StepSequence
 
-from helpers import max_relative_error, record_low_solves
+from helpers import (
+    assert_same_trajectory,
+    max_relative_error,
+    record_low_solves,
+    record_router_passes,
+)
 
 TINY = RouterConfig(embed_dim=4, num_layers=2, num_heads=2, ffn_dim=8, max_len=4)
 
@@ -206,7 +220,6 @@ def test_decision_sequences_are_the_routed_sequences(max_len):
     """GRPO re-scores each step on the sequence the rollout routed it on: a
     greedy rollout's choice is the argmax over ``_decision_sequences``, with
     a max_len beyond the horizon of 12 and one that truncates."""
-    from mixroute.env import RouterDriver
     from mixroute.router import forward_probs
 
     env = EnvConfig()
@@ -361,23 +374,153 @@ def test_train_grpo_deterministic():
 
 
 def test_train_grpo_lockstep_matches_solo_rollouts(monkeypatch):
-    """Groups rolled out in lockstep give the curve and parameters, bitwise,
-    of groups rolled out one member at a time."""
+    """Every group train_grpo rolls out in lockstep, its passes recorded,
+    holds the trajectories of its members rolled out one at a time. With
+    ``test_train_grpo_matches_a_recomputing_reference`` this gives the
+    curve and parameters of groups rolled out solo."""
     env = EnvConfig()
     pair = make_policy_pair(env)
     init = RouterParams.initialize(RouterConfig(), seed=2)
     cfg = GRPOConfig(group_size=8, episode_budget=32, learning_rate=1e-3, seed=4)
-    lockstep = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
+    checked = []
 
-    def one_at_a_time(config, pair, members, master_seed):
-        return [rollout(config, pair, driver, episode_seed, master_seed=master_seed,
-                        sample_index=k) for driver, episode_seed, k in members]
+    def lockstep_and_solo(config, pair, members, master_seed, passes):
+        together = rollout_lockstep(config, pair, members, master_seed=master_seed,
+                                    passes=passes)
+        for (driver, episode_seed, k), traj in zip(members, together, strict=True):
+            assert_same_trajectory(traj, rollout(config, pair, driver, episode_seed,
+                                                 master_seed=master_seed, sample_index=k))
+        checked.append(len(together))
+        return together
 
-    monkeypatch.setattr(grpo_module, "rollout_lockstep", one_at_a_time)
-    solo = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
-    assert [m.__dict__ for m in lockstep.curve] == [m.__dict__ for m in solo.curve]
-    for (_, ta), (_, tb) in zip(lockstep.params.tensors(), solo.params.tensors()):
-        assert (ta.value == tb.value).all()
+    monkeypatch.setattr(grpo_module, "rollout_lockstep", lockstep_and_solo)
+    train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
+    assert checked == [8] * 4
+
+
+def _recomputing_train_grpo(env, pair, init, cfg, reward, episode_seed_start):
+    """train_grpo's loop with the rollout's passes dropped: each group's
+    update runs its own forward per sequence length."""
+    params = init.copy()
+    anchor = AnchorSnapshot(init)
+    curve = []
+    for g in range(cfg.episode_budget // cfg.group_size):
+        driver = RouterDriver(params, mode="sampled")
+        trajectories = rollout_lockstep(
+            env, pair, [(driver, episode_seed_start + g, k) for k in range(cfg.group_size)],
+            master_seed=cfg.seed)
+        group = TrajectoryGroup.build(trajectories, reward, cfg.epsilon)
+        loss = grpo_update([group], params, anchor, cfg)
+        curve.append({
+            "group_index": g,
+            "mean_return": float(group.returns.mean()),
+            "success_rate": float(np.mean([t.success for t in trajectories])),
+            "mean_high_ratio": (sum(t.n_high for t in trajectories)
+                                / max(sum(t.n_steps for t in trajectories), 1)),
+            "policy_loss": loss.policy_term,
+            "kl_penalty": loss.kl_penalty,
+        })
+    return curve, params
+
+
+@pytest.mark.parametrize("max_len", [16, 4])
+def test_train_grpo_matches_a_recomputing_reference(max_len):
+    """Backpropagating through the rollout's passes gives the curve and
+    parameters, bitwise, of updates that recompute each state's forward
+    when ``max_len`` covers the horizon of 12. When it truncates, the
+    rollout keeps one pass per round where the recompute merges the
+    truncated states into one, so the gradient sums in another order: the
+    parameters stay within 1e-12 of the largest entry."""
+    env = EnvConfig()
+    pair = make_policy_pair(env)
+    init = RouterParams.initialize(RouterConfig(max_len=max_len), seed=2)
+    cfg = GRPOConfig(group_size=8, episode_budget=32, learning_rate=1e-4, seed=4)
+    result = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
+    curve, params = _recomputing_train_grpo(env, pair, init, cfg, RewardConfig(), 50)
+    got = [m.__dict__ for m in result.curve]
+    if max_len >= env.horizon:
+        assert got == curve
+        for (name, a), (_, b) in zip(result.params.tensors(), params.tensors()):
+            assert np.array_equal(a.value, b.value), name
+        return
+    losses = ("policy_loss", "kl_penalty")
+    assert [{k: v for k, v in m.items() if k not in losses} for m in got] == \
+        [{k: v for k, v in m.items() if k not in losses} for m in curve]
+    for m, r in zip(got, curve):
+        for k in losses:
+            assert m[k] == pytest.approx(r[k], rel=1e-12, abs=1e-15)
+    largest = max(float(np.abs(t.value).max()) for _, t in params.tensors())
+    assert largest > 0.5
+    for (name, a), (_, b) in zip(result.params.tensors(), params.tensors()):
+        assert float(np.abs(a.value - b.value).max()) <= 1e-12 * largest, name
+
+
+def test_train_grpo_runs_one_current_forward_per_round(monkeypatch):
+    """Per group, the current parameters get one forward per rollout round,
+    each backpropagated once, then the anchor gets one forward per round
+    over the same members; no other router pass runs."""
+    env = EnvConfig()
+    pair = make_policy_pair(env)
+    init = RouterParams.initialize(RouterConfig(), seed=2)
+    cfg = GRPOConfig(group_size=8, episode_budget=24, learning_rate=1e-3, seed=4)
+    groups = []
+    rollout_group = grpo_module.rollout_lockstep
+    monkeypatch.setattr(grpo_module, "rollout_lockstep", lambda *args, **kw: (
+        groups.append(rollout_group(*args, **kw)) or groups[-1]))
+    passes = record_router_passes(monkeypatch, env_module, grpo_module)
+    result = train_grpo(env, pair, init, cfg, RewardConfig(), episode_seed_start=50)
+
+    assert len(groups) == 3
+    current = [p for p in passes if p.backwards]
+    anchors = [p for p in passes if not p.backwards]
+    assert {id(p.params) for p in current} == {id(result.params)}
+    assert len({id(p.params) for p in anchors}) == 1
+    assert anchors[0].params is not result.params
+    expected = []
+    shrinks = False
+    for trajectories in groups:
+        live = [sum(t.n_steps > r for t in trajectories)
+                for r in range(max(t.n_steps for t in trajectories))]
+        shrinks |= len(set(live)) > 1  # members leave the lockstep at different rounds
+        expected += [(n, id(result.params), 1) for n in live]
+        expected += [(n, id(anchors[0].params), 0) for n in live]
+    assert shrinks
+    assert [(p.sequences, id(p.params), p.backwards) for p in passes] == expected
+
+
+def _drop_last_pass(recorded):
+    return recorded[:-1]
+
+
+def _name_a_ninth_member(recorded):
+    live, probs, backward = recorded[0]
+    return [([*live[:-1], 8], probs, backward), *recorded[1:]]
+
+
+def _lose_a_row(recorded):
+    live, probs, backward = recorded[0]
+    return [(live, probs[:-1], backward), *recorded[1:]]
+
+
+@pytest.mark.parametrize("edit", [_drop_last_pass, _name_a_ninth_member, _lose_a_row],
+                         ids=["dropped-pass", "unknown-member", "missing-row"])
+def test_recorded_passes_that_do_not_match_are_refused(edit):
+    env = EnvConfig()
+    pair = make_policy_pair(env)
+    params = RouterParams.initialize(RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32),
+                                     seed=3)
+    driver = RouterDriver(params, mode="sampled")
+    recorded = []
+    trajectories = rollout_lockstep(env, pair, [(driver, 7, k) for k in range(8)],
+                                    passes=recorded)
+    group = TrajectoryGroup.build(trajectories, RewardConfig())
+    before = {name: t.value.copy() for name, t in params.tensors()}
+    with pytest.raises(TrajectoryDataError):
+        grpo_update([group], params, AnchorSnapshot(params), GRPOConfig(),
+                    passes=edit(recorded))
+    for name, tensor in params.tensors():
+        assert np.array_equal(tensor.value, before[name]), name
+    grpo_update([group], params, AnchorSnapshot(params), GRPOConfig(), passes=recorded)
 
 
 def test_train_grpo_solves_each_group_task_once(monkeypatch):
