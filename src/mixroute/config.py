@@ -156,6 +156,27 @@ def _real(key: str, value) -> float:
     return number
 
 
+def _items(key: str, read, value) -> list:
+    if not isinstance(value, list):
+        raise _UnusableValue(f"{key} must be a list, got {value!r}")
+    return [read(f"{key}[{i}]", v) for i, v in enumerate(value)]
+
+
+def _read(key: str, default, value):
+    """``value`` read as ``default``'s type selects: an int, a float, a
+    string or a list of floats; for a null default (critical_steps), null
+    or the sorted set of integers a list names."""
+    if default is None:
+        return None if value is None else sorted(set(_items(key, _integer, value)))
+    if isinstance(default, list):
+        return _items(key, _real, value)
+    if isinstance(default, str):
+        if not isinstance(value, str):
+            raise _UnusableValue(f"{key} must be a string, got {value!r}")
+        return value
+    return (_integer if isinstance(default, int) else _real)(key, value)
+
+
 def _rate(key: str, value: float) -> float:
     """``value`` if it can be a learning rate: finite and > 0."""
     if not (math.isfinite(value) and value > 0):
@@ -169,8 +190,11 @@ def _merge(base: dict, override: dict, path: str, violations: list[str]) -> dict
         if key not in base:
             violations.append(f"unknown key {path}{key}")
             continue
-        if isinstance(base[key], dict) and isinstance(value, dict):
-            out[key] = _merge(base[key], value, f"{path}{key}.", violations)
+        if isinstance(base[key], dict):
+            if isinstance(value, dict):
+                out[key] = _merge(base[key], value, f"{path}{key}.", violations)
+            else:
+                violations.append(f"{path}{key} must be a mapping, got {value!r}")
         else:
             out[key] = value
     return out
@@ -209,7 +233,25 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         else:
             node[parts[-1]] = value
 
+    # Every leaf is read once, before any section is built, and written back
+    # as the value it validates to, critical_steps as the sorted set it
+    # names, so the stage hashes see configs that load equal as equal. A
+    # section with an unusable leaf is not built.
+    bad: set[str] = set()
+    for section, default in DEFAULTS.items():
+        nested = isinstance(default, dict)
+        node = resolved[section] if nested else resolved
+        for key, leaf in default.items() if nested else [(section, default)]:
+            try:
+                node[key] = _read(f"{section}.{key}" if nested else key, leaf, node[key])
+            except _UnusableValue as exc:
+                violations.append(str(exc))
+                node[key] = None
+                bad.add(section)
+
     def build(name, fn):
+        if name.split(".")[0] in bad:
+            return None
         try:
             return fn()
         except _UnusableValue as exc:
@@ -218,78 +260,44 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
             violations.append(f"{name}: {exc}")
         return None
 
-    # Each float key's value is written back as the float it validates to,
-    # and critical_steps as the sorted set it stands for, so the stage
-    # hashes see configs that load equal as equal.
-    def real(dotted: str) -> float:
-        section, key = dotted.split(".")
-        resolved[section][key] = _real(dotted, resolved[section][key])
-        return resolved[section][key]
-
-    def reals(dotted: str) -> list[float]:
-        section, key = dotted.split(".")
-        resolved[section][key] = [_real(f"{dotted}[{i}]", v)
-                                  for i, v in enumerate(resolved[section][key])]
-        return resolved[section][key]
-
-    def critical_steps() -> frozenset[int] | None:
-        if e["critical_steps"] is None:
-            return None
-        e["critical_steps"] = sorted({_integer(f"env.critical_steps[{i}]", t)
-                                      for i, t in enumerate(e["critical_steps"])})
-        return frozenset(e["critical_steps"])
-
-    seed = build("seed", lambda: _integer("seed", resolved["seed"]))
-    workers = build("workers", lambda: _integer("workers", resolved["workers"]))
-    output_dir = build("output_dir", lambda: Path(resolved["output_dir"]))
+    seed, workers = resolved["seed"], resolved["workers"]
     e = resolved["env"]
     env = build("env", lambda: EnvConfig(
-        horizon=_integer("env.horizon", e["horizon"]),
-        action_space=ActionSpace(_integer("env.actions", e["actions"])),
-        critical_steps=critical_steps(),
-        n_critical=_integer("env.n_critical", e["n_critical"]),
-        n_correct_paths=_integer("env.n_correct_paths", e["n_correct_paths"]),
-        divergence_low=real("env.divergence_low"),
-        divergence_high=real("env.divergence_high"),
-        seed=_integer("env.seed", e["seed"]),
+        horizon=e["horizon"],
+        action_space=ActionSpace(e["actions"]),
+        critical_steps=e["critical_steps"],
+        n_critical=e["n_critical"],
+        n_correct_paths=e["n_correct_paths"],
+        divergence_low=e["divergence_low"],
+        divergence_high=e["divergence_high"],
+        seed=e["seed"],
     ))
-    r = resolved["router"]
-    router = build("router", lambda: RouterConfig(
-        **{key: _integer(f"router.{key}", r[key])
-           for key in ("embed_dim", "num_layers", "num_heads", "ffn_dim", "max_len")}
-    ))
+    router = build("router", lambda: RouterConfig(**resolved["router"]))
     k = resolved["klst"]
-    labeling = build("klst.tau", lambda: LabelingConfig(threshold=real("klst.tau")))
+    labeling = build("klst.tau", lambda: LabelingConfig(threshold=k["tau"]))
     klst_train = build("klst", lambda: KlstTrainConfig(
-        epochs=_integer("klst.epochs", k["epochs"]),
-        batch_size=_integer("klst.batch_size", k["batch_size"]),
-        learning_rate=_rate("klst.learning_rate", real("klst.learning_rate")),
+        epochs=k["epochs"],
+        batch_size=k["batch_size"],
+        learning_rate=_rate("klst.learning_rate", k["learning_rate"]),
         seed=seed,
     ))
-    collect_episodes = build("klst.episodes",
-                             lambda: _integer("klst.episodes", k["episodes"]))
+    collect_episodes = k["episodes"]
     if collect_episodes is not None and collect_episodes < 1:
         violations.append("klst.episodes must be >= 1")
     g = resolved["grpo"]
     grpo_cfg = build("grpo", lambda: GRPOConfig(
-        group_size=_integer("grpo.group_size", g["group_size"]),
-        beta=real("grpo.beta"),
+        group_size=g["group_size"],
+        beta=g["beta"],
         learning_rate=_rate("grpo.learning_rate * grpo.lr_scale",
-                            real("grpo.learning_rate") * real("grpo.lr_scale")),
-        episode_budget=_integer("grpo.episode_budget", g["episode_budget"]),
+                            g["learning_rate"] * g["lr_scale"]),
+        episode_budget=g["episode_budget"],
         seed=seed,
     ))
-    reward = build("grpo costs", lambda: RewardConfig(
-        lambda_high=real("grpo.lambda_high"),
-        lambda_step=real("grpo.lambda_step"),
+    reward = build("grpo", lambda: RewardConfig(
+        lambda_high=g["lambda_high"],
+        lambda_step=g["lambda_step"],
     ))
-    ev = resolved["eval"]
-    eval_section = build("eval", lambda: EvalSection(
-        episodes=_integer("eval.episodes", ev["episodes"]),
-        episode_seed_start=_integer("eval.episode_seed_start", ev["episode_seed_start"]),
-        random_ps=reals("eval.random_ps"),
-        mode=str(ev["mode"]),
-    ))
+    eval_section = build("eval", lambda: EvalSection(**resolved["eval"]))
     if eval_section is not None:
         if eval_section.episodes < 1:
             violations.append("eval.episodes must be >= 1")
@@ -310,7 +318,7 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
 
     return RunConfig(
         master_seed=seed,
-        output_dir=output_dir,
+        output_dir=Path(resolved["output_dir"]),
         workers=workers,
         env=env,
         router=router,

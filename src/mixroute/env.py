@@ -328,18 +328,9 @@ def _high_tables(tasks) -> list[np.ndarray]:
     return np.split(high, starts[1:])
 
 
-def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) of each row of two (R, A) arrays, with 0*log(0/q)=0 and
-    +inf where p puts mass where q has none."""
-    live = p > 0.0
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl = np.where(live, p * np.log(p / q), 0.0).sum(axis=1)
-    kl[(live & (q <= 0.0)).any(axis=1)] = np.inf
-    return kl
-
-
 def _kl_live_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """``_kl_rows`` with each row summed over its live entries (p > 0) only.
+    """KL(p || q) of each row of two (R, A) arrays, each row summed over its
+    live entries (p > 0) only, with +inf where p puts mass where q has none.
 
     Over enough entries numpy's pairwise sum associates a zero-filled row's
     live terms otherwise than the row of live terms alone, so rows are
@@ -348,15 +339,20 @@ def _kl_live_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
     and in any company.
     """
     live = p > 0.0
-    if live.all():
-        return _kl_rows(p, q)
-    counts = live.sum(axis=1)
-    kl = np.empty(len(p))
-    for n in np.unique(counts).tolist():
-        rows = counts == n
-        keep = live[rows]
-        kl[rows] = _kl_rows(p[rows][keep].reshape(len(keep), n),
-                            q[rows][keep].reshape(len(keep), n))
+    if not live.all():
+        counts = live.sum(axis=1)
+        kl = np.empty(len(p))
+        # Not np.unique: its first call pages in about 1.7 MB of numpy code
+        # (numpy 2.4), which showed in every workload's peak RSS.
+        for n in sorted(set(counts.tolist())):
+            rows = counts == n
+            keep = live[rows]
+            kl[rows] = _kl_live_rows(p[rows][keep].reshape(len(keep), n),
+                                     q[rows][keep].reshape(len(keep), n))
+        return kl
+    with np.errstate(divide="ignore", invalid="ignore"):
+        kl = (p * np.log(p / q)).sum(axis=1)
+    kl[(q <= 0.0).any(axis=1)] = np.inf
     return kl
 
 
@@ -403,7 +399,7 @@ def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
     with np.errstate(divide="ignore"):
         direction = np.where(critical[:, None], np.where(on, 0.0, 1.0 / n_off[:, None]),
                              1.0 / n_actions)
-    reachable = _kl_rows(direction, base)
+    reachable = _kl_live_rows(direction, base)
     shifted = steps & (target > 0.0)  # the rows where low parts from high
     out_of_reach = shifted & (reachable < target)
     rows = shifted & ~out_of_reach
@@ -652,8 +648,11 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     Given a ``passes`` list, each router pass appends ``(live, probs,
     backward)``: the indices in ``members`` it decided for, in order, its
     probabilities and its ``forward_probs_batch`` backward closure, so a
-    caller can backpropagate through the rollout's own passes. Otherwise
-    the closures are dropped as each round ends.
+    caller can backpropagate through the rollout's own passes. Round r
+    decides for the members live after r steps, in member order: under
+    one router, pass r holds the (r + 1)-th decision of every member that
+    has one, the rounds ``grpo_loss_and_grads`` takes. Otherwise the
+    closures are dropped as each round ends.
     """
     starts: dict[int, EnvState] = {}
     episodes = []
@@ -807,11 +806,14 @@ class RemotePolicy:
         if not line:
             raise MalformedResponseError("server closed the connection without a response")
         try:
-            payload = json.loads(line)
+            payload = json.loads(line, parse_int=float)
             probs = payload["probs"]
         except (ValueError, KeyError, TypeError) as exc:
             raise MalformedResponseError(f"unparseable response: {line[:200]!r}") from exc
-        if not isinstance(probs, list) or len(probs) != n_actions:
+        # JSON numbers only, all read as floats (an integer beyond float range
+        # as inf): numpy would take true/false and numeric strings.
+        if (not isinstance(probs, list) or len(probs) != n_actions
+                or not all(type(p) is float for p in probs)):
             raise MalformedResponseError(
                 f"expected {n_actions} probabilities, got {probs!r}"
             )

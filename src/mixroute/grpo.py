@@ -14,7 +14,6 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 
 import numpy as np
 
@@ -25,13 +24,13 @@ from .router import (
     StepSequence,
     forward_probs_batch,
     prefix_sequences,
-    shape_stacks,
     truncate_sequence,
 )
 
 
 class TrajectoryDataError(ValueError):
-    """A trajectory lacks the decision-time sequence snapshots."""
+    """A trajectory lacks the decision-time sequence snapshots, or recorded
+    router passes are not its rollout's rounds."""
 
 
 @dataclass(frozen=True)
@@ -117,92 +116,72 @@ class GrpoLoss:
     total: float
 
 
-def _recorded_rows(items, passes):
-    """The rollout's recorded ``(members, probs, backward)`` passes with each
-    row mapped to its state: row j of a pass is member ``members[j]``'s next
-    decision. Member m is the m-th trajectory of ``items``; it must appear in
-    exactly as many passes as it has decisions."""
-    counts = [len(decisions) for _, decisions in items]
-    first = [0, *accumulate(counts)]
-    taken = [0] * len(items)
-    out = []
-    for members, probs, backward in passes:
-        if len(probs) != len(members) or not all(0 <= m < len(items) for m in members):
-            raise TrajectoryDataError(f"a recorded pass of {len(probs)} rows names members "
-                                      f"{members} of {len(items)} trajectories")
-        rows = []
-        for m in members:
-            rows.append(first[m] + taken[m])
-            taken[m] += 1
-        out.append((rows, probs, backward))
-    if taken != counts:
-        raise TrajectoryDataError(f"trajectories with {counts} decisions appear in "
-                                  f"{taken} recorded passes")
-    return out
-
-
 def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
                         config: GRPOConfig, passes=None) -> GrpoLoss:
     """Evaluate -E[A * sum_t log pi(r_t|s_t)] + beta * KL(pi || pi_0) and leave
     its gradient in the parameter tensors.
 
     The KL term is estimated over the states visited in this batch. The
-    current router's probabilities come in passes, each a stack of states
-    with its backward closure; a pass carries both the policy-gradient and
-    the KL-penalty contributions. Each pass's anchor forward runs just
-    before its backward, the backwards run in pass order, and the loss
-    terms are summed state by state in trajectory order.
+    states go through the router in the rounds of a lockstep rollout: round
+    r holds the (r + 1)-th decision of every trajectory that has one, in
+    trajectory order. Each round's current-router pass carries both the
+    policy-gradient and the KL-penalty contributions; its anchor forward
+    runs just before its backward, the backwards run in round order, and
+    the loss terms are summed state by state in trajectory order.
 
     ``passes`` are the recorded router passes of the one group's rollout
     (``rollout_lockstep``'s ``passes``), taken under ``params`` with no
-    update since: the loss backpropagates through them and runs no second
-    forward. Without them, the states that share a sequence length go
-    through the router as one stack, each stack's forward just before its
-    backward. Round r of a rollout holds the members live after r steps, in
-    member order: the length-(r + 1) stack, so both give the same bits
-    unless ``max_len`` truncates, where the recorded rounds sum the
-    gradient in another order.
+    update since. Pass r must name exactly round r's members, one row per
+    member; the loss then backpropagates through them and runs no second
+    forward. Without them, each round's forward runs just before its
+    backward, and the result is bitwise the same.
     """
     items = [(float(adv), _decision_sequences(traj, params.config.max_len))
              for group in groups for traj, adv in zip(group.trajectories, group.advantages)]
     if not items:
         raise ValueError("no trajectories to update on")
     n_traj = len(items)
-    states = [(seq, choice, adv) for adv, decisions in items for seq, choice in decisions]
-    n_states = len(states)
+    n_states = sum(len(decisions) for _, decisions in items)
+    rounds = [[m for m, (_, decisions) in enumerate(items) if len(decisions) > r]
+              for r in range(max(len(decisions) for _, decisions in items))]
+
+    def sequences(r, members):
+        return [items[m][1][r][0] for m in members]
+
     if passes is None:
-        seqs = [seq for seq, _, _ in states]
-        passes = ((rows, *forward_probs_batch([seqs[i] for i in rows], params))
-                  for rows in shape_stacks(seqs))
+        passes = ((members, *forward_probs_batch(sequences(r, members), params))
+                  for r, members in enumerate(rounds))
     else:
-        passes = _recorded_rows(items, passes)
+        named = [(list(members), len(probs)) for members, probs, _ in passes]
+        if named != [(members, len(members)) for members in rounds]:
+            raise TrajectoryDataError(f"recorded passes of (members, rows) {named} are not "
+                                      f"the rollout's rounds {rounds}")
 
     params.zero_grads()
-    log_pick = [0.0] * n_states  # log pi(r_t | s_t), floored
-    kl_terms = [0.0] * n_states  # KL(pi || pi_0) at s_t
-    for rows, probs, backward in passes:
-        anchor_probs = forward_probs_batch([states[i][0] for i in rows], anchor.params)[0]
+    log_pick = [[] for _ in items]  # log pi(r_t | s_t), floored, per trajectory
+    kl_terms = [[] for _ in items]  # KL(pi || pi_0) at s_t, per trajectory
+    for r, (members, probs, backward) in enumerate(passes):
+        anchor_probs = forward_probs_batch(sequences(r, members), anchor.params)[0]
         pf = np.maximum(probs, PROB_FLOOR)
         log_ratio = np.log(pf / np.maximum(anchor_probs, PROB_FLOOR))
         dprobs = np.zeros_like(probs)
-        for r, i in enumerate(rows):
-            _, choice, adv = states[i]
-            log_pick[i] = math.log(pf[r, choice])
-            kl_terms[i] = float(np.sum(probs[r] * log_ratio[r]))
-            if probs[r, choice] > PROB_FLOOR:
-                dprobs[r, choice] = -adv / (n_traj * probs[r, choice])
+        for row, m in enumerate(members):
+            adv, decisions = items[m]
+            choice = decisions[r][1]
+            log_pick[m].append(math.log(pf[row, choice]))
+            kl_terms[m].append(float(np.sum(probs[row] * log_ratio[row])))
+            if probs[row, choice] > PROB_FLOOR:
+                dprobs[row, choice] = -adv / (n_traj * probs[row, choice])
         dprobs += config.beta * (log_ratio + 1.0) / n_states
         backward(dprobs)
 
     policy_term = 0.0
     kl_value = 0.0
-    i = 0
-    for adv, decisions in items:
+    for (adv, _), picks, kls in zip(items, log_pick, kl_terms):
         log_prob_sum = 0.0
-        for _ in decisions:
-            log_prob_sum += log_pick[i]
-            kl_value += kl_terms[i] / n_states
-            i += 1
+        for pick, kl in zip(picks, kls):
+            log_prob_sum += pick
+            kl_value += kl / n_states
         policy_term += -adv * log_prob_sum / n_traj
 
     return GrpoLoss(policy_term, kl_value, policy_term + config.beta * kl_value)
@@ -246,9 +225,9 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
     Each group shares one task instance (same episode seed); its members
     differ only in their sampling streams and are rolled out in lockstep.
     One update is applied per group, backpropagating through the router
-    passes its rollout ran: each state gets one current-router forward.
-    The passes are held until the update, about 500 packed rows for a
-    group of eight.
+    passes its rollout ran, one per round: each state gets one
+    current-router forward. The passes are held until the update, about
+    500 packed rows for a group of eight.
     """
     params = init_params.copy()
     anchor = AnchorSnapshot(init_params)

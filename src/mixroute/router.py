@@ -169,15 +169,6 @@ def prefix_sequences(embeddings) -> list[StepSequence]:
     return [StepSequence(emb[:i + 1]) for i in range(emb.shape[0])]
 
 
-def shape_stacks(seqs) -> list[list[int]]:
-    """Indices of ``seqs`` grouped by length, groups and the indices within
-    them in first-seen order."""
-    stacks: dict[int, list[int]] = {}
-    for i, seq in enumerate(seqs):
-        stacks.setdefault(seq.length, []).append(i)
-    return list(stacks.values())
-
-
 def truncate_sequence(seq: StepSequence, max_len: int) -> StepSequence:
     """Keep the most recent ``max_len`` steps."""
     if seq.length <= max_len:
@@ -196,14 +187,16 @@ def _pack(seqs):
     row: numpy hands a one-row product to BLAS's matrix-vector routine,
     which rounds differently from a row of a matrix-matrix product.
     """
-    stacks = shape_stacks(seqs)
+    stacks: dict[int, list[int]] = {}  # length -> indices of seqs
+    for i, seq in enumerate(seqs):
+        stacks.setdefault(seq.length, []).append(i)
     if len(seqs) == 1 and seqs[0].length == 1:
-        stacks = [[0, 0]]
-    order = [i for stack in stacks for i in stack]
+        stacks[1] = [0, 0]
+    order = [i for stack in stacks.values() for i in stack]
     place = [0] * len(seqs)
     for k, i in enumerate(order):
         place[i] = k
-    groups = [(len(stack), seqs[stack[0]].length) for stack in stacks]
+    groups = [(len(stack), seqs[stack[0]].length) for stack in stacks.values()]
     return np.concatenate([seqs[i].embeddings for i in order]), groups, place
 
 

@@ -226,6 +226,29 @@ def test_unusable_config_exits_2_naming_it(tmp_path, capsys, make_config):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("text, named", [
+    ("env:\n  horizon: x\n  actions: y\n", ["env.horizon", "env.actions"]),
+    ("router:\n  embed_dim: x\n  max_len: y\n", ["router.embed_dim", "router.max_len"]),
+    ("klst:\n  epochs: x\n  batch_size: y\n", ["klst.epochs", "klst.batch_size"]),
+    ("grpo:\n  beta: x\n  group_size: y\n", ["grpo.beta", "grpo.group_size"]),
+    ("env:\n  critical_steps: 5\n", ["env.critical_steps must be a list"]),
+    ("eval:\n  random_ps: 0.5\n", ["eval.random_ps must be a list"]),
+    ("env: 5\n", ["env must be a mapping"]),
+], ids=["two-in-env", "two-in-router", "two-in-klst", "two-in-grpo", "int-critical-steps",
+        "float-random-ps", "int-section"])
+def test_config_error_names_every_bad_key(tmp_path, capsys, text, named):
+    """Every unusable key is named, not only a section's first, and a value
+    of the wrong shape is named by its key rather than by a Python error."""
+    out = tmp_path / "out"
+    path = tmp_path / "config.yaml"
+    path.write_text(f"output_dir: {out}\n{text}")
+    assert main(["--config", str(path), "calibrate"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(key in err for key in named), err
+    assert "object is not" not in err
+    assert not out.exists()
+
+
 def test_calibrate_ok_and_artifacts(tmp_path, capsys):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out, **{"klst.episodes": 60})

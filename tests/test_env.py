@@ -522,7 +522,9 @@ def test_collection_d_t_is_the_per_step_kl_divergence(n_actions, reuse_buffer):
     if n_actions >= 9:
         # summing zero-filled rows would part from kl_divergence here
         highs = np.array([high for _, high in returned])
-        assert (env_module._kl_rows(lows, highs) != expected).any()
+        with np.errstate(divide="ignore", invalid="ignore"):
+            zero_filled = np.where(lows > 0.0, lows * np.log(lows / highs), 0.0).sum(axis=1)
+        assert (zero_filled != expected).any()
 
 
 def test_collection_refuses_policies_of_different_support_sizes(world, pair):
@@ -783,6 +785,23 @@ def test_remote_policy_uniform_echo(world):
 
 def test_remote_policy_wrong_length(world):
     with _serve(lambda n: {"probs": [1.0 / (n - 1)] * (n - 1)}) as address:
+        with pytest.raises(MalformedResponseError):
+            remote_policy(address)(reset(world, 0))
+
+
+@pytest.mark.parametrize("make_probs", [
+    lambda n: [True] + [False] * (n - 1),
+    lambda n: ["0.5", "0.5"] + ["0"] * (n - 2),
+    lambda n: ["abc"] * n,
+    lambda n: [[1.0 / n]] * n,
+    lambda n: [10 ** 400] + [0] * (n - 1),
+], ids=["bools", "numeric-strings", "non-numeric-strings", "one-element-lists",
+        "int-beyond-float-range"])
+def test_remote_policy_refuses_entries_that_are_not_numbers(world, make_probs):
+    """Only JSON numbers a float can hold are probabilities: a reply of
+    bools, of strings, of nested lists or of an integer beyond float range
+    is malformed, however it would convert."""
+    with _serve(lambda n: {"probs": make_probs(n)}) as address:
         with pytest.raises(MalformedResponseError):
             remote_policy(address)(reset(world, 0))
 
