@@ -273,6 +273,8 @@ def load_run_config(path=None, overrides: dict | None = None) -> RunConfig:
         seed=e["seed"],
     ))
     router = build("router", lambda: RouterConfig(**resolved["router"]))
+    if router is not None:  # ffn_dim 0 stands for the width it builds to
+        resolved["router"]["ffn_dim"] = router.ffn_dim
     k = resolved["klst"]
     labeling = build("klst.tau", lambda: LabelingConfig(threshold=k["tau"]))
     klst_train = build("klst", lambda: KlstTrainConfig(

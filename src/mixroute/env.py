@@ -170,6 +170,12 @@ class TaskSpec:
         return _solve_low_tables([self])[0]
 
 
+def _uniform(rng: np.random.Generator, low: float, high: float) -> float:
+    """``float(rng.uniform(low, high))`` bit for bit: numpy computes it as
+    ``low + (high - low) * rng.random()``, at about three times the cost."""
+    return low + (high - low) * rng.random()
+
+
 def _build_task(config: EnvConfig, episode_seed: int) -> TaskSpec:
     rng = _rng(config.seed, STREAM_TASK, episode_seed)
     task_id = int(rng.integers(0, 10_000))
@@ -180,7 +186,7 @@ def _build_task(config: EnvConfig, episode_seed: int) -> TaskSpec:
         candidates = np.arange(2, goal + 1)
         n = min(config.n_critical, candidates.size)
         critical = frozenset(
-            int(t) for t in rng.choice(candidates, size=n, replace=False)
+            rng.choice(candidates, size=n, replace=False).tolist()
         ) if n > 0 else frozenset()
 
     n_actions = config.action_space.size
@@ -190,17 +196,15 @@ def _build_task(config: EnvConfig, episode_seed: int) -> TaskSpec:
     for t in range(1, config.horizon + 3):
         is_critical = t in critical
         width = config.n_correct_paths if is_critical else majority
-        advancing.append(frozenset(
-            int(a) for a in rng.choice(n_actions, size=width, replace=False)
-        ))
+        advancing.append(frozenset(rng.choice(n_actions, size=width, replace=False).tolist()))
         zones.append(int(rng.integers(0, 20)))
         notes.append(int(rng.integers(0, 50)))
         if is_critical:
-            conc.append(float(rng.uniform(0.988, 0.996)))
-            kl_targets.append(config.divergence_high * float(rng.uniform(1.02, 1.30)))
+            conc.append(_uniform(rng, 0.988, 0.996))
+            kl_targets.append(config.divergence_high * _uniform(rng, 1.02, 1.30))
         else:
-            conc.append(float(rng.uniform(0.975, 0.990)))
-            kl_targets.append(config.divergence_low * float(rng.uniform(0.25, 0.75)))
+            conc.append(_uniform(rng, 0.975, 0.990))
+            kl_targets.append(config.divergence_low * _uniform(rng, 0.25, 0.75))
     return TaskSpec(
         task_id=task_id,
         goal_len=goal,

@@ -271,7 +271,8 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
 
     The 90/10 validation split is by episode (steps within an episode are
     correlated). Returns the epoch checkpoint with the best validation
-    balanced accuracy; ties keep the earliest epoch.
+    balanced accuracy; ties keep the earliest epoch. When that is the last
+    epoch, the checkpoint is ``params`` itself, with its optimizer state.
     """
     records = dataset.records
     if not records:
@@ -297,7 +298,7 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
 
     best_score = -np.inf
     best_epoch = 0
-    best_params = params.copy()
+    best_params = params
     history: list[EpochMetrics] = []
 
     for epoch in range(1, config.epochs + 1):
@@ -312,10 +313,11 @@ def train_klst(dataset: SupervisionDataset, params: RouterParams,
         train_loss = epoch_loss / max(len(train_records), 1)
         acc, balanced = _validation_metrics(params, val_records, config.batch_size)
         history.append(EpochMetrics(epoch, train_loss, acc, balanced))
-        if balanced > best_score:
+        if balanced > best_score:  # always at epoch 1: the score is finite
             best_score = balanced
             best_epoch = epoch
-            best_params = params.copy()
+            # a later epoch trains on, so it needs a copy; the last does not
+            best_params = params.copy() if epoch < config.epochs else params
 
     return KlstResult(
         params=best_params,

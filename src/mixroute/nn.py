@@ -13,8 +13,11 @@ take stacks: every op works on the last two axes and treats leading axes
 as a batch, slice by slice exactly as it treats one matrix. With
 OpenBLAS, a row of a matrix-matrix product comes out bitwise the same in
 any company of two or more rows; a one-row product goes to BLAS's
-matrix-vector routine and may round differently. Parameter gradients sum over all rows. Shapes here are tiny
-(d <= 128, t <= 64), so clarity wins over cleverness.
+matrix-vector routine and may round differently. Parameter gradients sum
+over all rows. Shapes here are tiny (d <= 128, t <= 64), so the cost is
+per op, not per FLOP: where the arithmetic allows, an op builds its result
+in place in a buffer it owns, with the same operations in the same order as
+the plain expression, so the bits are the same and fewer arrays are made.
 
 ParamTensors are single-writer: forward/backward/adam_step on one set of
 parameters must not run concurrently. Immutable value snapshots may be
@@ -72,9 +75,9 @@ class ParamTensor:
         v = as_matrix(value)
         return cls(
             value=v.copy(),
-            grad=np.zeros_like(v),
-            adam_m=np.zeros_like(v),
-            adam_v=np.zeros_like(v),
+            grad=np.zeros(v.shape),
+            adam_m=np.zeros(v.shape),
+            adam_v=np.zeros(v.shape),
         )
 
     @classmethod
@@ -113,7 +116,8 @@ def linear_forward(x: Matrix, weight: ParamTensor, bias: ParamTensor):
         raise ShapeMismatchError(
             f"bias shape {bias.value.shape} != (1, {weight.value.shape[1]})"
         )
-    out = x @ weight.value + bias.value
+    out = x @ weight.value
+    out += bias.value
 
     def backward(grad_out: Matrix) -> Matrix:
         rows_in = x.reshape(-1, x.shape[-1])
@@ -155,19 +159,28 @@ def layer_norm(x: Matrix, gain: ParamTensor, shift: ParamTensor):
         raise ShapeMismatchError("gain/shift width must equal x.cols")
     # sum / d is what ndarray.mean computes, bitwise, without its overhead.
     mean = x.sum(axis=-1, keepdims=True) / d
-    centered = x - mean
-    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    normed = x - mean  # centered, normalised in place below
+    out = np.multiply(normed, normed)
+    var = out.sum(axis=-1, keepdims=True) / d
     inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
-    normed = centered * inv_std
-    out = normed * gain.value + shift.value
+    normed *= inv_std
+    np.multiply(normed, gain.value, out=out)
+    out += shift.value
 
     def backward(grad_out: Matrix) -> Matrix:
-        gain.grad += (grad_out * normed).reshape(-1, d).sum(axis=0, keepdims=True)
+        product = np.multiply(grad_out, normed)
+        gain.grad += product.reshape(-1, d).sum(axis=0, keepdims=True)
         shift.grad += grad_out.reshape(-1, d).sum(axis=0, keepdims=True)
         g = grad_out * gain.value
         g_mean = g.sum(axis=-1, keepdims=True) / d
-        gn_mean = (g * normed).sum(axis=-1, keepdims=True) / d
-        return inv_std * (g - g_mean - normed * gn_mean)
+        np.multiply(g, normed, out=product)
+        gn_mean = product.sum(axis=-1, keepdims=True) / d
+        # inv_std * (g - g_mean - normed * gn_mean), built in g
+        g -= g_mean
+        np.multiply(normed, gn_mean, out=product)
+        g -= product
+        g *= inv_std
+        return g
 
     return out, backward
 
@@ -188,19 +201,26 @@ def masked_attention(queries: Matrix, keys: Matrix, values: Matrix, key_valid):
         raise EmptyContextError("attention over an all-invalid mask")
 
     scale = 1.0 / math.sqrt(queries.shape[-1])
-    scores = (queries @ np.swapaxes(keys, -1, -2)) * scale
+    # The scores become the weights in one buffer: scale, mask, shift by the
+    # row max, exponentiate (exp(-inf) == 0.0 exactly), normalise.
+    weights = queries @ np.swapaxes(keys, -1, -2)
+    weights *= scale
     if not valid.all():
-        scores = np.where(valid, scores, -np.inf)
-    shifted = scores - scores.max(axis=-1, keepdims=True)
-    exp = np.exp(shifted)  # exp(-inf) == 0.0 exactly
-    weights = exp / exp.sum(axis=-1, keepdims=True)
+        weights[..., ~valid] = -np.inf
+    weights -= weights.max(axis=-1, keepdims=True)
+    np.exp(weights, out=weights)
+    weights /= weights.sum(axis=-1, keepdims=True)
     out = weights @ values
 
     def backward(grad_out: Matrix):
         grad_values = np.swapaxes(weights, -1, -2) @ grad_out
-        grad_weights = grad_out @ np.swapaxes(values, -1, -2)
-        inner = (grad_weights * weights).sum(axis=-1, keepdims=True)
-        grad_scores = weights * (grad_weights - inner) * scale
+        # the weights' gradient, turned in place into the scores' gradient
+        # weights * (grad_weights - inner) * scale
+        grad_scores = grad_out @ np.swapaxes(values, -1, -2)
+        inner = (grad_scores * weights).sum(axis=-1, keepdims=True)
+        grad_scores -= inner
+        grad_scores *= weights
+        grad_scores *= scale
         grad_queries = grad_scores @ keys
         grad_keys = np.swapaxes(grad_scores, -1, -2) @ queries
         return grad_queries, grad_keys, grad_values
@@ -243,13 +263,22 @@ def adam_step(param: ParamTensor, config: AdamConfig) -> ParamTensor:
     """Adam with bias correction; zeroes the gradient after applying it."""
     param.step_count += 1
     t = param.step_count
-    g = param.grad
-    param.adam_m *= ADAM_BETA1
-    param.adam_m += (1.0 - ADAM_BETA1) * g
-    param.adam_v *= ADAM_BETA2
-    param.adam_v += (1.0 - ADAM_BETA2) * (g * g)
-    m_hat = param.adam_m / (1.0 - ADAM_BETA1 ** t)
-    v_hat = param.adam_v / (1.0 - ADAM_BETA2 ** t)
-    param.value -= config.learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
-    param.grad[:] = 0.0
+    g, m, v = param.grad, param.adam_m, param.adam_v
+    # lr * m_hat / (sqrt(v_hat) + eps) in one scratch buffer, then in the
+    # spent gradient, which is zeroed at the end anyway
+    scratch = np.multiply(g, 1.0 - ADAM_BETA1)
+    m *= ADAM_BETA1
+    m += scratch
+    np.multiply(g, g, out=scratch)
+    scratch *= 1.0 - ADAM_BETA2
+    v *= ADAM_BETA2
+    v += scratch
+    np.divide(v, 1.0 - ADAM_BETA2 ** t, out=scratch)
+    np.sqrt(scratch, out=scratch)
+    scratch += ADAM_EPSILON
+    np.divide(m, 1.0 - ADAM_BETA1 ** t, out=g)
+    g *= config.learning_rate
+    g /= scratch
+    param.value -= g
+    g[:] = 0.0
     return param

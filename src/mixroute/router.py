@@ -6,7 +6,8 @@ K-way softmax head. Index 0 is the cheap (low-precision) policy, index 1
 the expensive (high-precision) one. A batch of sequences of any lengths
 runs as one pass over their packed rows; only attention runs per length
 group. The head reads only the last step, so the last layer computes keys
-and values for every step, the rest for the final two only.
+and values for every step, queries and attention for the final two, and,
+in a pass of two or more sequences, the rest for the final one only.
 
 route() against a params snapshot that nobody is training is safe to call
 from many workers at once; training (backward + adam_step) is single-writer.
@@ -271,10 +272,12 @@ def _attend(q, k, v, spans, num_heads: int):
 
 
 def _layer_forward(x, params: RouterParams, i: int, groups, last: bool):
-    """Encoder layer i over the packed rows ``x``, computed for its query
-    rows: the final min(t, 2) of each sequence in the last layer, every row
-    before it. Each query row attends to all t steps of its sequence, which
-    give every key and value. Returns the query rows' outputs, packed."""
+    """Encoder layer i over the packed rows ``x``. Every layer but the last
+    computes every row. The last attends from the final min(t, 2) rows of
+    each sequence to all t steps of it, which give every key and value; a
+    pass of two or more sequences then keeps only each sequence's final
+    row, the one the head reads, for ``wo``, both norms and the FFN.
+    Returns the rows it computed, packed."""
     w, at = params.by_name, f"layer{i}."
     spans = list(_spans(groups, last))
     rows = x
@@ -286,22 +289,37 @@ def _layer_forward(x, params: RouterParams, i: int, groups, last: bool):
     k, bw_k = linear_forward(x, w[at + "wk"], w[at + "bk"])
     v, bw_v = linear_forward(x, w[at + "wv"], w[at + "bv"])
     heads, bw_heads = _attend(q, k, v, spans, params.config.num_heads)
+    n_query, final = len(rows), None
+    if last and 1 < sum(b for b, _ in groups) < n_query:
+        # A lone sequence keeps both rows, so no product has one row.
+        final = np.concatenate([np.arange(queries.start + q - 1, queries.stop, q)
+                                for _, _, q, _, queries in spans])
+        rows, heads = rows[final], heads[final]
     attn, bw_o = linear_forward(heads, w[at + "wo"], w[at + "bo"])
 
-    resid1 = rows + attn
+    resid1 = np.add(rows, attn, out=attn)
     normed1, bw_ln1 = layer_norm(resid1, w[at + "ln1_gain"], w[at + "ln1_shift"])
     hidden, bw_f1 = linear_forward(normed1, w[at + "w1"], w[at + "b1"])
     act, bw_act = relu(hidden)
     ffn, bw_f2 = linear_forward(act, w[at + "w2"], w[at + "b2"])
-    resid2 = normed1 + ffn
+    resid2 = np.add(normed1, ffn, out=ffn)
     out, bw_ln2 = layer_norm(resid2, w[at + "ln2_gain"], w[at + "ln2_shift"])
+
+    def spread(g):
+        """The final rows' gradient ``g`` on all query rows, 0 elsewhere."""
+        full = np.zeros((n_query, g.shape[1]))
+        full[final] = g
+        return full
 
     def backward(grad):
         g = bw_ln2(grad)
-        g_normed1 = g + bw_f1(bw_act(bw_f2(g)))
-        g_resid1 = bw_ln1(g_normed1)
-        gq, gk, gv = bw_heads(bw_o(g_resid1))
-        g_rows = g_resid1 + bw_q(gq)
+        g += bw_f1(bw_act(bw_f2(g)))
+        g_rows = bw_ln1(g)
+        g_heads = bw_o(g_rows)
+        if final is not None:
+            g_rows, g_heads = spread(g_rows), spread(g_heads)
+        gq, gk, gv = bw_heads(g_heads)
+        g_rows += bw_q(gq)
         g_x = g_rows
         if last:
             g_x = np.zeros_like(x)
@@ -317,9 +335,10 @@ def _layer_forward(x, params: RouterParams, i: int, groups, last: bool):
 def _encode(x, groups, params: RouterParams):
     """N encoder layers over packed position-augmented rows.
 
-    Returns only the rows the last layer computes: the final min(t, 2) of
-    each sequence, packed. The head reads one; the second keeps that row's
-    products matrix-matrix (see ``_pack``).
+    Returns only the rows the last layer computes (see ``_layer_forward``):
+    each sequence's final row, packed, or a lone sequence's final min(t, 2)
+    rows. Either way the last P rows of the result are the final rows of
+    the P packed sequences.
     """
     layers = []
     last = params.config.num_layers - 1
@@ -356,13 +375,10 @@ def forward_probs_batch(seqs, params: RouterParams):
     rows, groups, place = _pack(seqs)
     x, bw_pos = _add_positions(rows, groups, params)
     hidden, bw_enc = _encode(x, groups, params)
-    # Each sequence's last row, in packed order, as a (P, 1, d) stack: the
-    # head runs per sequence. One group's rows stay a strided view: in
-    # alternating benchmark pairs, copying them (and reordering with a fancy
-    # index) made `rollouts` about 2% slower.
-    last = list(_spans(groups, True))
-    parts = [hidden[queries].reshape(b, q, -1)[:, -1:] for b, _, q, _, queries in last]
-    pooled = parts[0] if len(parts) == 1 else np.concatenate(parts)
+    # Each packed sequence's final row, in packed order, as a (P, 1, d)
+    # stack: the head runs per sequence.
+    n_packed = sum(b for b, _ in groups)
+    pooled = hidden[-n_packed:, None]
     logits, bw_head = linear_forward(pooled, params.by_name["head_weight"],
                                        params.by_name["head_bias"])
     probs, bw_soft = softmax_rows(logits)
@@ -370,12 +386,8 @@ def forward_probs_batch(seqs, params: RouterParams):
     def backward(dprobs) -> None:
         dp = np.zeros_like(probs)
         dp[place, 0] = np.asarray(dprobs, dtype=np.float64).reshape(len(place), -1)
-        d_pooled = bw_head(bw_soft(dp))
         d_hidden = np.zeros_like(hidden)
-        start = 0
-        for b, _, q, _, queries in last:
-            d_hidden[queries].reshape(b, q, -1)[:, -1:] = d_pooled[start:start + b]
-            start += b
+        d_hidden[-n_packed:, None] = bw_head(bw_soft(dp))
         bw_pos(bw_enc(d_hidden))
 
     return probs[:, 0].take(place, axis=0), backward

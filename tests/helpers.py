@@ -1,16 +1,27 @@
 """Shared test utilities: central finite differences, relative error, a
 writer of the retired version-1 checkpoint layout, recorders of
 low-policy table solves and of router passes, a field-by-field trajectory
-comparison, the all-rows router forward, and the numpy categorical draw and
-step embedding that the leaner ones must equal."""
+comparison, the all-rows router forward, and the numpy categorical draw,
+step embedding and kernel ops that the leaner ones must equal."""
 
+import math
 import struct
 from dataclasses import dataclass, fields
 
 import numpy as np
 
 from mixroute.env import _token_hash
-from mixroute.nn import layer_norm, linear_forward, masked_attention, relu, softmax_rows
+from mixroute.nn import (
+    ADAM_BETA1,
+    ADAM_BETA2,
+    ADAM_EPSILON,
+    LAYER_NORM_EPS,
+    layer_norm,
+    linear_forward,
+    masked_attention,
+    relu,
+    softmax_rows,
+)
 from mixroute.router import truncate_sequence
 
 
@@ -228,3 +239,75 @@ def float_embed_step(task_tokens, action, observation_tokens, dim):
     if norm == 0.0:
         return acc
     return acc / norm
+
+
+# --- kernel ops as plain expressions -----------------------------------------
+#
+# Each builds every intermediate as a fresh array. The ops in mixroute.nn
+# build theirs in place, with the same operations in the same order, and
+# must give the same bits.
+
+def expression_linear(x, weight, bias):
+    """linear_forward's output as ``x @ W + b``."""
+    return x @ weight.value + bias.value
+
+
+def expression_layer_norm(x, gain, shift):
+    """layer_norm as plain expressions: the output, and the backward that
+    accumulates into gain and shift and returns the input gradient."""
+    d = x.shape[-1]
+    mean = x.sum(axis=-1, keepdims=True) / d
+    centered = x - mean
+    var = (centered * centered).sum(axis=-1, keepdims=True) / d
+    inv_std = 1.0 / np.sqrt(var + LAYER_NORM_EPS)
+    normed = centered * inv_std
+    out = normed * gain.value + shift.value
+
+    def backward(grad_out):
+        gain.grad += (grad_out * normed).reshape(-1, d).sum(axis=0, keepdims=True)
+        shift.grad += grad_out.reshape(-1, d).sum(axis=0, keepdims=True)
+        g = grad_out * gain.value
+        g_mean = g.sum(axis=-1, keepdims=True) / d
+        gn_mean = (g * normed).sum(axis=-1, keepdims=True) / d
+        return inv_std * (g - g_mean - normed * gn_mean)
+
+    return out, backward
+
+
+def expression_attention(queries, keys, values, key_valid):
+    """masked_attention as plain expressions: the output, and the backward
+    that returns the gradients of queries, keys and values."""
+    valid = np.asarray(key_valid, dtype=bool)
+    scale = 1.0 / math.sqrt(queries.shape[-1])
+    scores = (queries @ np.swapaxes(keys, -1, -2)) * scale
+    scores = np.where(valid, scores, -np.inf)
+    shifted = scores - scores.max(axis=-1, keepdims=True)
+    exp = np.exp(shifted)
+    weights = exp / exp.sum(axis=-1, keepdims=True)
+    out = weights @ values
+
+    def backward(grad_out):
+        grad_values = np.swapaxes(weights, -1, -2) @ grad_out
+        grad_weights = grad_out @ np.swapaxes(values, -1, -2)
+        inner = (grad_weights * weights).sum(axis=-1, keepdims=True)
+        grad_scores = weights * (grad_weights - inner) * scale
+        grad_queries = grad_scores @ keys
+        grad_keys = np.swapaxes(grad_scores, -1, -2) @ queries
+        return grad_queries, grad_keys, grad_values
+
+    return out, backward
+
+
+def expression_adam_step(param, learning_rate):
+    """adam_step as plain expressions, on a ParamTensor."""
+    param.step_count += 1
+    t = param.step_count
+    g = param.grad
+    param.adam_m *= ADAM_BETA1
+    param.adam_m += (1.0 - ADAM_BETA1) * g
+    param.adam_v *= ADAM_BETA2
+    param.adam_v += (1.0 - ADAM_BETA2) * (g * g)
+    m_hat = param.adam_m / (1.0 - ADAM_BETA1 ** t)
+    v_hat = param.adam_v / (1.0 - ADAM_BETA2 ** t)
+    param.value -= learning_rate * m_hat / (np.sqrt(v_hat) + ADAM_EPSILON)
+    param.grad[:] = 0.0

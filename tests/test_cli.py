@@ -147,10 +147,12 @@ def test_float_keys_take_numeric_strings_and_keep_the_hash(tmp_path):
     ("grpo:\n  lr_scale: 100\n", "grpo:\n  lr_scale: 100.0\n"),
     ("env:\n  critical_steps: [5, 3, 3]\n", "env:\n  critical_steps: [3, 5]\n"),
     ("eval:\n  random_ps: [0, 1]\n", "eval:\n  random_ps: [0.0, 1.0]\n"),
-], ids=["int-in-float-key", "unsorted-critical-steps", "ints-in-float-list"])
+    ("router:\n  ffn_dim: 0\n", "router:\n  ffn_dim: 256\n"),
+], ids=["int-in-float-key", "unsorted-critical-steps", "ints-in-float-list", "ffn-dim-zero"])
 def test_configs_that_load_equal_hash_equal(tmp_path, written, equal):
     """Each stage hashes a key's validated value: an int in a float key as
-    the float, critical_steps as the sorted set of steps it names."""
+    the float, critical_steps as the sorted set of steps it names, an
+    ffn_dim of 0 as the 4 * embed_dim it builds to."""
     assert _stage_hashes(tmp_path, written)[1] == _stage_hashes(tmp_path, equal)[1]
 
 

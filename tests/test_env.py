@@ -726,6 +726,24 @@ PINNED_ROUTER = RouterParams.initialize(RouterConfig(embed_dim=16, num_heads=2, 
 PINNED_TRAJECTORIES_SHA256 = "d3c8d1b806d2a1adefeb6773cf2d4a6ce19b3439b8f08c34d582a99e790971b3"
 
 
+# sha256 of every field of _build_task's tasks for PINNED_WORLDS x seeds
+# 0..199: the run_drivers digest sees only the steps some episode reaches,
+# this one every step of every task.
+PINNED_TASKS_SHA256 = "4dba0d3d79cbd1122aa22b6e0fc99389af4127a3fdc6f5fdb9871768df75373d"
+
+
+def test_build_task_output_is_pinned():
+    digest = hashlib.sha256()
+    for cfg in PINNED_WORLDS:
+        for seed in range(200):
+            t = env_module._build_task(cfg, seed)
+            # repr keeps the types; sets are sorted, so only their members count
+            digest.update(repr((t.task_id, t.goal_len, t.n_actions, sorted(t.critical_steps),
+                                [sorted(a) for a in t.advancing], t.zones, t.notes,
+                                t.concentration, t.kl_targets)).encode())
+    assert digest.hexdigest() == PINNED_TASKS_SHA256
+
+
 def test_run_drivers_output_is_pinned():
     drivers = [FixedLow(), FixedHigh(), RandomDriver(0.4), KlstCollect(),
                RouterDriver(PINNED_ROUTER, mode="greedy"),

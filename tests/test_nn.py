@@ -21,7 +21,14 @@ from mixroute.nn import (
     weighted_cross_entropy,
 )
 
-from helpers import central_difference, max_relative_error
+from helpers import (
+    central_difference,
+    expression_adam_step,
+    expression_attention,
+    expression_layer_norm,
+    expression_linear,
+    max_relative_error,
+)
 
 
 def test_linear_identity_input():
@@ -355,3 +362,75 @@ def test_stacked_ops_match_matrices_one_by_one():
     np.testing.assert_array_equal(grad, np.stack(grads))
     for p, expected in zip(params, one_by_one):
         np.testing.assert_allclose(p.grad, expected, rtol=1e-12, atol=1e-14)
+
+
+# 2-D matrices and 4-D stacks of them, as the router's row ops and its
+# per-head attention see them
+SHAPES = [(1, 5), (7, 5), (3, 2, 4, 8), (2, 4, 1, 16)]
+
+
+def _twins(rng, shape):
+    """Two ParamTensors with equal random values, one per implementation."""
+    value = rng.normal(size=shape)
+    return ParamTensor.from_value(value), ParamTensor.from_value(value)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_linear_is_its_expression_bitwise(shape):
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(size=shape)
+    w = ParamTensor.from_value(rng.normal(size=(shape[-1], 6)))
+    b = ParamTensor.from_value(rng.normal(size=(1, 6)))
+    out, _ = linear_forward(x, w, b)
+    np.testing.assert_array_equal(out, expression_linear(x, w, b))
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+def test_layer_norm_is_its_expression_bitwise(shape):
+    """Output, input gradient and gain/shift gradients, bitwise."""
+    rng = np.random.default_rng(sum(shape))
+    x = rng.normal(scale=3.0, size=shape)
+    upstream = rng.normal(size=shape)
+    (gain, gain_ref), (shift, shift_ref) = (_twins(rng, (1, shape[-1])) for _ in range(2))
+    out, backward = layer_norm(x, gain, shift)
+    expected, expected_backward = expression_layer_norm(x, gain_ref, shift_ref)
+    np.testing.assert_array_equal(out, expected)
+    np.testing.assert_array_equal(backward(upstream), expected_backward(upstream))
+    np.testing.assert_array_equal(gain.grad, gain_ref.grad)
+    np.testing.assert_array_equal(shift.grad, shift_ref.grad)
+
+
+@pytest.mark.parametrize("shape", SHAPES)
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_is_its_expression_bitwise(shape, masked):
+    """Output and the query, key and value gradients, bitwise, with every
+    key valid and with the last of two or more keys masked; 2 query rows
+    over the keys."""
+    rng = np.random.default_rng(sum(shape) + masked)
+    keys, values = rng.normal(size=shape), rng.normal(size=shape)
+    queries = rng.normal(size=(*shape[:-2], 2, shape[-1]))
+    upstream = rng.normal(size=queries.shape)
+    valid = np.ones(shape[-2], dtype=bool)
+    if masked and shape[-2] > 1:
+        valid[-1] = False
+    out, backward = masked_attention(queries, keys, values, valid)
+    expected, expected_backward = expression_attention(queries, keys, values, valid)
+    np.testing.assert_array_equal(out, expected)
+    for grad, expected_grad in zip(backward(upstream), expected_backward(upstream)):
+        np.testing.assert_array_equal(grad, expected_grad)
+
+
+@pytest.mark.parametrize("shape", [(1, 5), (7, 5), (64, 256)])
+def test_adam_step_is_its_expression_bitwise(shape):
+    """Values, both moments and the zeroed gradient over five steps."""
+    rng = np.random.default_rng(sum(shape))
+    param, reference = _twins(rng, shape)
+    for _ in range(5):
+        grad = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=shape)
+        param.grad[...] = reference.grad[...] = grad
+        adam_step(param, AdamConfig(learning_rate=1e-3))
+        expression_adam_step(reference, 1e-3)
+        for buf, expected in ((param.value, reference.value), (param.adam_m, reference.adam_m),
+                              (param.adam_v, reference.adam_v), (param.grad, reference.grad)):
+            np.testing.assert_array_equal(buf, expected)
+        assert param.step_count == reference.step_count

@@ -483,12 +483,17 @@ def test_mixed_length_batch_rows_equal_their_lone_forwards(num_layers):
 
 
 def test_lone_one_step_sequence_equals_its_row_in_a_larger_batch(params):
-    """A pass over one one-step sequence runs its row twice, so no product
-    has one row: its probabilities equal that sequence's row among others."""
+    """A lone sequence of any length, one step to max_len + 3, equals its row
+    among others bitwise. Alone, its last layer keeps the final two rows (a
+    one-step sequence runs its row twice) so that no product has one row;
+    in company, that layer runs wo, the norms and the FFN on final rows
+    only."""
     rng = np.random.default_rng(14)
-    one = seq_of(rng.normal(size=(1, 8)))
     company = [seq_of(rng.normal(size=(t, 8))) for t in (1, 3, 1, 7)]
-    lone, _ = forward_probs(one, params)
-    for batch, at in (([one] + company, 0), (company + [one], 4), ([one, one], 1)):
-        probs, _ = forward_probs_batch(batch, params)
-        np.testing.assert_array_equal(probs[at], lone)
+    for length in range(1, SMALL.max_len + 4):
+        one = seq_of(rng.normal(size=(length, 8)))
+        lone, _ = forward_probs(one, params)
+        for batch, at in (([one] + company, 0), (company + [one], 4), ([one, one], 1),
+                          ([one, company[0]], 0)):
+            probs, _ = forward_probs_batch(batch, params)
+            np.testing.assert_array_equal(probs[at], lone)
