@@ -15,8 +15,10 @@ actions at critical steps until KL(low || high) reaches ``divergence_high``.
 Transitions are deterministic given the action, so rollouts are driven by
 three separate RNG streams (policy sampling, router sampling, driver coins),
 each derived from (master_seed, stream tag, episode_seed, sample_index).
-This keeps klst-collection trajectories bitwise identical to fixed-high
-ones under equal seeds.
+One ``rollout_lockstep`` call draws each key's uniforms once, as one vector
+of a horizon's draws, and every member with that key reads the same vector:
+the drivers of one seed share its policy stream. This keeps klst-collection
+trajectories bitwise identical to fixed-high ones under equal seeds.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import os
 import socket
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property, lru_cache
 from typing import Callable, ClassVar
 
@@ -76,7 +78,39 @@ class UnnormalizedDistributionError(RemotePolicyError):
 
 
 def _rng(*key: int) -> np.random.Generator:
-    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+    # A uint32 array seeds the same SeedSequence pool as the list of its
+    # entries as Python ints, at a fraction of the cost. A key with an
+    # entry outside [0, 2**32) takes the list, so it gives the same stream
+    # (an entry of 2**32 or more is split into words) or the same error.
+    if 0 <= min(key) and max(key) < 1 << 32:
+        entropy = np.array(key, dtype=np.uint32)
+    else:
+        entropy = [int(k) for k in key]
+    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+
+
+class _Uniforms:
+    """A cursor over a vector of uniforms drawn at once, in a Generator's
+    place for ``sample_categorical`` and a driver's coins: ``random()``
+    returns them in order, bitwise the scalar draws of the generator that
+    drew the vector. Members that share a stream key each read the vector
+    through their own cursor."""
+
+    __slots__ = ("random",)
+
+    def __init__(self, values: list[float]):
+        self.random = iter(values).__next__
+
+
+def _frozen(cls, **fields):
+    """An instance of the frozen dataclass ``cls`` holding ``fields``, all of
+    them and in declaration order, without the generated ``__init__``'s one
+    ``object.__setattr__`` per field: it equals, hashes and pickles as the
+    instance ``__init__`` builds. It holds a ``__dict__``, about twice the
+    memory, so only states, which a rollout drops as it goes, are built so."""
+    obj = object.__new__(cls)
+    obj.__dict__.update(fields)
+    return obj
 
 
 @dataclass(frozen=True)
@@ -289,8 +323,10 @@ def step(state: EnvState, action: int):
     success = (not poisoned) and progress >= task.goal_len
     done = success or state.t >= state.config.horizon
     obs = _observation(task, state.t + 1, result, progress)
-    next_state = EnvState(state.config, state.episode_seed, task, state.t + 1, progress,
-                          poisoned, state.history + ((action, obs),), obs, done, success)
+    next_state = _frozen(EnvState, config=state.config, episode_seed=state.episode_seed,
+                         task=task, t=state.t + 1, progress=progress, poisoned=poisoned,
+                         history=state.history + ((action, obs),), observation=obs,
+                         terminal=done, success=success)
     return next_state, list(obs), done, success
 
 
@@ -461,25 +497,37 @@ def make_policy_pair(config: EnvConfig) -> PolicyPair:
 
 # --- step embeddings ----------------------------------------------------------
 
-@lru_cache(maxsize=65536)
 def _token_hash(token: str) -> int:
     digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
     return int.from_bytes(digest, "little")
 
 
-def embed_step(task_tokens, action: int | None, observation_tokens, dim: int) -> np.ndarray:
-    """Feature-hash one interaction step into a unit-norm vector.
+# Bounded, so it stays small however many tasks' tokens pass through it:
+# the observation and action tokens of a 12-step world number about a
+# hundred per dim and, read at every step, stay cached, while each task's id
+# token is read once per episode and then ages out.
+@lru_cache(maxsize=512)
+def _token_bucket(token: str, dim: int) -> tuple[int, int]:
+    """The signed bucket ``token`` hashes into among ``dim``: (bucket, +-1)."""
+    h = _token_hash(token)
+    return (h >> 1) % dim, 1 if h & 1 else -1
 
-    Tokens of the task description, the action that led into the step, and
-    the step's observation are hashed into ``dim`` signed buckets. A zero
-    accumulation (no tokens) stays the zero vector.
-    """
-    counts: dict[int, int] = {}
-    action_tokens = () if action is None else (f"act{action}",)
-    for tok in (*task_tokens, *action_tokens, *observation_tokens):
-        h = _token_hash(tok)
-        bucket = (h >> 1) % dim
-        counts[bucket] = counts.get(bucket, 0) + (1 if h & 1 else -1)
+
+def _token_counts(tokens, dim: int, counts: dict[int, int] | None = None) -> dict[int, int]:
+    """Each bucket's signed count of ``tokens``, added into a copy of ``counts``."""
+    counts = {} if counts is None else dict(counts)
+    for tok in tokens:
+        bucket, sign = _token_bucket(tok, dim)
+        counts[bucket] = counts.get(bucket, 0) + sign
+    return counts
+
+
+def _embed(task_counts: dict[int, int], action: int | None, observation_tokens,
+           dim: int) -> np.ndarray:
+    """``embed_step`` with the task tokens already counted into ``task_counts``,
+    which an episode counts once for all of its steps."""
+    tokens = observation_tokens if action is None else (f"act{action}", *observation_tokens)
+    counts = _token_counts(tokens, dim, task_counts)
     # Integer counts are exact in any order, and their sum of squares is the
     # exact dot product a float accumulation's norm takes the root of.
     z = np.zeros(dim)
@@ -492,9 +540,21 @@ def embed_step(task_tokens, action: int | None, observation_tokens, dim: int) ->
     return z
 
 
+def embed_step(task_tokens, action: int | None, observation_tokens, dim: int) -> np.ndarray:
+    """Feature-hash one interaction step into a unit-norm vector.
+
+    Tokens of the task description, the action that led into the step, and
+    the step's observation are hashed into ``dim`` signed buckets. A zero
+    accumulation (no tokens) stays the zero vector.
+    """
+    return _embed(_token_counts(task_tokens, dim), action, observation_tokens, dim)
+
+
 # --- trajectories -------------------------------------------------------------
 
-@dataclass(frozen=True)
+# Slotted: a sweep keeps every step of every episode, and a step without a
+# __dict__ is smaller (97 B against 145 B) and quicker to build.
+@dataclass(frozen=True, slots=True)
 class TrajStep:
     t: int
     action: int
@@ -556,25 +616,29 @@ class RouterDriver:
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 
-def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int,
-             sample_index: int, embed_dim: int | None):
+def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callable,
+             master_seed: int, sample_index: int, embed_dim: int | None):
     """One episode's step loop from ``state``, as a generator.
 
     At each router decision it yields the step's StepSequence and takes the
-    router's probabilities back; it returns the finished Trajectory. Only
-    the RNG streams the driver draws from are built: a greedy router draws
+    router's probabilities back; it returns the finished Trajectory.
+    ``uniforms(*key)`` gives the draws of the RNG stream with that key; only
+    the streams the driver draws from are asked for: a greedy router draws
     none. Klst collection keeps a copy of each step's low and high rows and
     computes every D_t in one pass once the episode ends; with ``embed_dim``
     None it records no step embeddings.
     """
     key = (state.episode_seed, sample_index)
-    policy_rng = _rng(master_seed, STREAM_POLICY, *key)
-    driver_rng = _rng(master_seed, STREAM_DRIVER, *key) if isinstance(driver, RandomDriver) else None
+    policy_rng = uniforms(master_seed, STREAM_POLICY, *key)
+    driver_rng = (uniforms(master_seed, STREAM_DRIVER, *key)
+                  if isinstance(driver, RandomDriver) else None)
     routed = isinstance(driver, RouterDriver)
-    router_rng = (_rng(master_seed, STREAM_ROUTER, *key)
+    router_rng = (uniforms(master_seed, STREAM_ROUTER, *key)
                   if routed and driver.mode == "sampled" else None)
     collect = isinstance(driver, KlstCollect)
     record_embeddings = (collect and embed_dim is not None) or routed
+    if record_embeddings:
+        task_counts = _token_counts(state.task_tokens, embed_dim)
     rows: list[tuple] = []  # each step's TrajStep fields but d_t
     embeddings: list[np.ndarray] = []
     lows: list[np.ndarray] = []
@@ -585,7 +649,7 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, master_seed: int
     while not state.terminal:
         z = None
         if record_embeddings:
-            z = embed_step(state.task_tokens, prev_action, state.observation, embed_dim)
+            z = _embed(task_counts, prev_action, state.observation, embed_dim)
             embeddings.append(z)
 
         choice: int | None = None
@@ -639,15 +703,18 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     """Run ``(driver, episode_seed, sample_index)`` members in lockstep.
 
     Each distinct episode seed is reset once, so its members share one task
-    instance and its policy tables. Before the first step one
-    ``_high_tables`` call builds every seed's high-policy table, and one
-    ``_solve_low_tables`` call solves the low-policy tables of every seed
-    with a member that can query the low policy (any driver but FixedHigh);
-    a FixedHigh-only seed's low table is never built. Every live member has
-    taken the same number of steps, so each round's router decisions go through
-    each router as one stack. A member's sampling streams are keyed by its
-    episode seed and sample index, never by its place in ``members``, so
-    each trajectory is bitwise equal to the member's own ``rollout``.
+    instance and its policy tables. When the pair holds a SyntheticPolicy,
+    the tables' only reader, one ``_high_tables`` call builds every seed's
+    high-policy table before the first step; when its low policy is one,
+    one ``_solve_low_tables`` call solves the low-policy tables of every
+    seed with a member that can query the low policy (any driver but
+    FixedHigh); a FixedHigh-only seed's low table is never built. Every live
+    member has taken the same number of steps, so each round's router
+    decisions go through each router as one stack. A member's sampling
+    streams are keyed by its episode seed and sample index, never by its
+    place in ``members``; each key's uniforms are drawn once and shared by
+    the members that have it, so each trajectory is bitwise equal to the
+    member's own ``rollout``.
 
     Given a ``passes`` list, each router pass appends ``(live, probs,
     backward)``: the indices in ``members`` it decided for, in order, its
@@ -659,6 +726,14 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     closures are dropped as each round ends.
     """
     starts: dict[int, EnvState] = {}
+    drawn: dict[tuple[int, ...], list[float]] = {}  # stream key -> its uniforms
+
+    def uniforms(*key: int) -> _Uniforms:
+        # An episode draws at most once per step from each of its streams.
+        if key not in drawn:
+            drawn[key] = _rng(*key).random(config.horizon).tolist()
+        return _Uniforms(drawn[key])
+
     episodes = []
     for driver, episode_seed, k in members:
         member_dim = embed_dim
@@ -670,16 +745,18 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
         # state, all holding the one task: a policy that tells decision steps
         # apart by the state object it is handed sees each member's.
         if episode_seed in starts:
-            start = replace(starts[episode_seed])
+            start = _frozen(EnvState, **vars(starts[episode_seed]))
         else:
             start = starts[episode_seed] = reset(config, episode_seed)
-        episodes.append(_episode(pair, driver, start, master_seed, k, member_dim))
+        episodes.append(_episode(pair, driver, start, uniforms, master_seed, k, member_dim))
     # Stored where each cached_property keeps its value.
-    tasks = [start.task for start in starts.values()]
-    for task, table in zip(tasks, _high_tables(tasks)):
-        task.__dict__["_high_table"] = table
+    synthetic_low = isinstance(pair.low, SyntheticPolicy)
+    if synthetic_low or isinstance(pair.high, SyntheticPolicy):
+        tasks = [start.task for start in starts.values()]
+        for task, table in zip(tasks, _high_tables(tasks)):
+            task.__dict__["_high_table"] = table
     low_seeds = dict.fromkeys(s for driver, s, _ in members if not isinstance(driver, FixedHigh))
-    if low_seeds:
+    if synthetic_low and low_seeds:
         low_tasks = [starts[s].task for s in low_seeds]
         for task, solved in zip(low_tasks, _solve_low_tables(low_tasks)):
             task.__dict__["_low_table"] = solved

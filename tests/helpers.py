@@ -1,6 +1,6 @@
 """Shared test utilities: central finite differences, relative error, a
 writer of the retired version-1 checkpoint layout, recorders of
-low-policy table solves and of router passes, a field-by-field trajectory
+low-policy table solves, RNG streams and router passes, a field-by-field trajectory
 comparison, the all-rows router forward, and the numpy categorical draw,
 step embedding and kernel ops that the leaner ones must equal."""
 
@@ -93,6 +93,17 @@ def record_low_solves(monkeypatch, env_module):
     monkeypatch.setattr(env_module, "_solve_low_tables",
                         lambda tasks: calls.append(list(tasks)) or solve(tasks))
     return calls
+
+
+def record_rng_keys(monkeypatch, env_module):
+    """Patch the RNG-stream constructor to record the key of each stream built.
+
+    Returns the list of keys, in build order.
+    """
+    keys = []
+    make = env_module._rng
+    monkeypatch.setattr(env_module, "_rng", lambda *key: keys.append(key) or make(*key))
+    return keys
 
 
 @dataclass

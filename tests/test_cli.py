@@ -263,12 +263,14 @@ def test_calibrate_ok_and_artifacts(tmp_path, capsys):
 
 def test_calibrate_embeds_no_step(tmp_path, monkeypatch):
     """Calibrate writes only D values, so its klst column embeds no step;
-    its files equal those of a calibrate whose column embeds every step."""
+    its files equal those of a calibrate whose column embeds every step.
+    Every step embedding, ``embed_step``'s and the step loop's, goes
+    through ``env._embed``."""
     import mixroute.env as env_module
 
     embeds = []
-    embed = env_module.embed_step
-    monkeypatch.setattr(env_module, "embed_step",
+    embed = env_module._embed
+    monkeypatch.setattr(env_module, "_embed",
                         lambda *args: embeds.append(args) or embed(*args))
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)

@@ -17,6 +17,7 @@ from mixroute.env import (
     EnvConfig,
     EnvConfigError,
     EnvProtocolError,
+    EnvState,
     FixedHigh,
     FixedLow,
     KlstCollect,
@@ -40,7 +41,12 @@ from mixroute.env import (
 from mixroute import env as env_module
 from mixroute.router import RouterConfig, RouterParams
 
-from helpers import assert_same_trajectory, float_embed_step, record_low_solves
+from helpers import (
+    assert_same_trajectory,
+    float_embed_step,
+    record_low_solves,
+    record_rng_keys,
+)
 
 
 @pytest.fixture(scope="module")
@@ -129,6 +135,59 @@ def test_step_on_terminal_raises(world):
         state, _, _, _ = step(state, oracle_action(state))
     with pytest.raises(EnvProtocolError):
         step(state, 0)
+
+
+def test_a_stepped_state_is_the_state_its_fields_build(world):
+    """step builds its state without the dataclass __init__; the state
+    still equals and hashes as the one __init__ builds field by field, and
+    stays a frozen dataclass."""
+    state = reset(world, 3)
+    history = []
+    for k in range(5):
+        state, obs, _, _ = step(state, k % world.action_space.size)
+        history.append((k % world.action_space.size, tuple(obs)))
+    built = EnvState(config=world, episode_seed=3, task=reset(world, 3).task, t=6,
+                     progress=state.progress, poisoned=state.poisoned,
+                     history=tuple(history), observation=history[-1][1])
+    assert state == built
+    assert hash(state) == hash(built)
+    assert list(vars(state)) == [f.name for f in dataclasses.fields(EnvState)]
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        state.t = 1
+    moved = dataclasses.replace(state, t=2)
+    assert (moved.t, moved.history, moved.observation) == (2, state.history, state.observation)
+
+
+def _list_seeded_rng(*key):
+    """An RNG stream seeded from the key's entries as a list of Python ints."""
+    return np.random.default_rng(np.random.SeedSequence([int(k) for k in key]))
+
+
+@pytest.mark.parametrize("key", [(0,), (0, 0, 0, 0), (7, 1, 0, 3), (0, 3, 2**32 - 1, 0),
+                                 (2**32, 1, 0, 0), (5, 0, 2**40)])
+def test_rng_streams_equal_the_list_seeded_ones(key):
+    assert np.array_equal(env_module._rng(*key).random(16), _list_seeded_rng(*key).random(16))
+
+
+def test_a_negative_rng_key_fails_as_a_list_seeded_one_does():
+    with pytest.raises(Exception) as expected:
+        _list_seeded_rng(3, 1, -1, 0)
+    with pytest.raises(expected.type):
+        env_module._rng(3, 1, -1, 0)
+
+
+def test_rollouts_under_seeds_beyond_32_bits_equal_list_seeded_ones(monkeypatch):
+    """Task and sampling streams whose keys hold an entry >= 2**32 are the
+    list-seeded ones."""
+    cfg = EnvConfig(seed=2**40)
+    pair = make_policy_pair(cfg)
+    drivers = [FixedLow(), RandomDriver(0.5), KlstCollect(),
+               RouterDriver(LOCKSTEP_ROUTER, mode="sampled")]
+    got = run_drivers(cfg, pair, drivers, range(3), master_seed=2**33)
+    monkeypatch.setattr(env_module, "_rng", _list_seeded_rng)
+    want = run_drivers(cfg, make_policy_pair(cfg), drivers, range(3), master_seed=2**33)
+    for a, b in zip(sum(got, []), sum(want, [])):
+        assert_same_trajectory(a, b)
 
 
 def test_policy_pair_degenerate_low_divergence():
@@ -612,10 +671,7 @@ def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
 def test_only_a_sampled_router_builds_a_router_stream(world, pair, monkeypatch):
     """Greedy routing draws no random number, so it builds no router
     stream; a sampled router builds one per member."""
-    streams = []
-    make = env_module._rng
-    monkeypatch.setattr(env_module, "_rng",
-                        lambda *key: streams.append(key) or make(*key))
+    streams = record_rng_keys(monkeypatch, env_module)
     members = [(RouterDriver(LOCKSTEP_ROUTER, mode=mode), s, k)
                for mode in ("greedy", "sampled") for s in (3, 0) for k in (0, 2)]
     rollout_lockstep(world, pair, members[:4], master_seed=2)
@@ -623,6 +679,26 @@ def test_only_a_sampled_router_builds_a_router_stream(world, pair, monkeypatch):
     rollout_lockstep(world, pair, members[4:], master_seed=2)
     assert [key for key in streams if key[1] == env_module.STREAM_ROUTER] == [
         (2, env_module.STREAM_ROUTER, s, k) for _, s, k in members[4:]]
+
+
+def test_members_with_one_stream_key_share_one_stream(world, pair, monkeypatch):
+    """The 7 drivers of a sweep on one seed and sample index build one
+    policy stream, and its random drivers one driver stream; each
+    trajectory is still its own rollout's."""
+    keys = record_rng_keys(monkeypatch, env_module)
+    drivers = [FixedLow(), FixedHigh(), *(RandomDriver(p) for p in (0.2, 0.4, 0.6, 0.8)),
+               RouterDriver(LOCKSTEP_ROUTER, mode="greedy")]
+    without_coins = [FixedLow(), FixedHigh(), RouterDriver(LOCKSTEP_ROUTER, mode="greedy")]
+    members = [(d, s, k) for s in range(4) for k in (0, 1)
+               for d in (drivers if s % 2 else without_coins)]
+    together = rollout_lockstep(world, pair, members, master_seed=2)
+    assert sorted(key for key in keys if key[1] == env_module.STREAM_POLICY) == [
+        (2, env_module.STREAM_POLICY, s, k) for s in range(4) for k in (0, 1)]
+    assert sorted(key for key in keys if key[1] == env_module.STREAM_DRIVER) == [
+        (2, env_module.STREAM_DRIVER, s, k) for s in (1, 3) for k in (0, 1)]
+    for (driver, episode_seed, k), traj in zip(members, together):
+        assert_same_trajectory(traj, rollout(world, pair, driver, episode_seed, master_seed=2,
+                                             sample_index=k))
 
 
 def test_router_driver_refuses_an_unknown_mode_before_any_reset(world, pair, monkeypatch):
@@ -666,6 +742,31 @@ def test_lockstep_solves_low_tables_only_for_seeds_that_can_query_low(world, pai
     assert "_low_table" not in vars(tasks[3])
     # solved up front, though a coin of p = 1 never sends a step to the low policy
     assert "_low_table" in vars(tasks[4])
+
+
+def test_lockstep_builds_the_synthetic_tables_only_for_the_synthetic_pair(world, pair,
+                                                                          monkeypatch):
+    """A pair of other policies gets no table up front; one that queries
+    a task's low distribution still gets that task's table, built alone."""
+    calls = record_low_solves(monkeypatch, env_module)
+    members = [(d, s, 0) for s in range(3) for d in (FixedLow(), RandomDriver(0.5), KlstCollect())]
+    tasks = []
+
+    def uniform(state):
+        tasks.append(state.task)
+        return np.full(world.action_space.size, 1.0 / world.action_space.size)
+
+    rollout_lockstep(world, PolicyPair(high=uniform, low=uniform), members)
+    assert calls == []
+    assert not any({"_high_table", "_low_table"} & set(vars(task)) for task in tasks)
+    synthetic = rollout_lockstep(world, pair, members)
+    assert [len(solved) for solved in calls] == [3]
+    calls.clear()
+    lazy = PolicyPair(high=lambda state: state.task.high_distribution(state.t),
+                      low=lambda state: state.task.low_distribution(state.t))
+    for a, b in zip(rollout_lockstep(world, lazy, members), synthetic):
+        assert_same_trajectory(a, b)
+    assert [len(solved) for solved in calls] == [1, 1, 1]
 
 
 def test_run_drivers_never_raises_for_an_unreachable_row_no_member_queries(monkeypatch):
