@@ -143,9 +143,8 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     # episode. klst collection rolls out exactly the fixed_high episodes and
     # keeps the successful ones, so its count is fixed_high's success count.
     # Only D values are written, so no step is embedded.
-    low, collection = run_drivers(cfg.env, pair, [FixedLow(), KlstCollect()], range(n),
-                                  master_seed=cfg.master_seed, embed_dim=None,
-                                  workers=cfg.workers)
+    low, collection = run_drivers(cfg.env, pair, [FixedLow(), KlstCollect(embed_dim=None)],
+                                  range(n), master_seed=cfg.master_seed, workers=cfg.workers)
     collected, stats = klst.keep_successful(collection)
     d_values = np.sort(np.asarray(
         [s.d_t for traj in collected for s in traj.steps], dtype=np.float64
@@ -235,6 +234,11 @@ def cmd_train_klst(cfg: RunConfig) -> int:
     stage = _stage_dir(cfg, "klst")
     dataset_path, dataset = _upstream(cfg, cfg.output_dir / "collect", "collect", "dataset",
                                       klst.load_dataset)
+    width = dataset.records[0].sequence.embeddings.shape[1]
+    if width != cfg.router.embed_dim:
+        raise StageError(f"malformed upstream artifact: {dataset_path} (embeddings "
+                         f"{width} wide, router.embed_dim {cfg.router.embed_dim})",
+                         EXIT_MISSING)
 
     params = RouterParams.initialize(cfg.router, seed=cfg.master_seed)
     result = klst.train_klst(dataset, params, cfg.klst_train)

@@ -368,32 +368,14 @@ def _high_tables(tasks) -> list[np.ndarray]:
     return np.split(high, starts[1:])
 
 
-def _kl_live_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """KL(p || q) of each row of two (R, A) arrays, each row summed over its
-    live entries (p > 0) only, with +inf where p puts mass where q has none.
-
-    Over enough entries numpy's pairwise sum associates a zero-filled row's
-    live terms otherwise than the row of live terms alone, so rows are
-    grouped by their count of live entries and each group is summed
-    compacted: every row's KL is the one it has alone, at any support size
-    and in any company.
-    """
-    live = p > 0.0
-    if not live.all():
-        counts = live.sum(axis=1)
-        kl = np.empty(len(p))
-        # Not np.unique: its first call pages in about 1.7 MB of numpy code
-        # (numpy 2.4), which showed in every workload's peak RSS.
-        for n in sorted(set(counts.tolist())):
-            rows = counts == n
-            keep = live[rows]
-            kl[rows] = _kl_live_rows(p[rows][keep].reshape(len(keep), n),
-                                     q[rows][keep].reshape(len(keep), n))
-        return kl
+def _kl_rows(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """KL(p || q) of each row of two (R, A) arrays, with 0*log(0/q) = 0 and
+    +inf where p puts mass where q has none. Each row is reduced on its own,
+    so its KL is bitwise the one it has alone, in any company."""
+    if p.shape != q.shape:
+        raise ValueError(f"support sizes differ: {p.shape[1]} vs {q.shape[1]}")
     with np.errstate(divide="ignore", invalid="ignore"):
-        kl = (p * np.log(p / q)).sum(axis=1)
-    kl[(q <= 0.0).any(axis=1)] = np.inf
-    return kl
+        return np.where(p > 0.0, p * np.log(p / q), 0.0).sum(axis=1)
 
 
 def kl_divergence(p, q) -> float:
@@ -401,11 +383,9 @@ def kl_divergence(p, q) -> float:
 
     Returns +inf (not an exception) when p puts mass where q has none.
     """
-    p = np.asarray(p, dtype=np.float64).reshape(-1)
-    q = np.asarray(q, dtype=np.float64).reshape(-1)
-    if p.shape != q.shape:
-        raise ValueError(f"support sizes differ: {p.shape[0]} vs {q.shape[0]}")
-    return float(_kl_live_rows(p[None], q[None])[0])
+    p = np.asarray(p, dtype=np.float64).reshape(1, -1)
+    q = np.asarray(q, dtype=np.float64).reshape(1, -1)
+    return float(_kl_rows(p, q)[0])
 
 
 def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
@@ -439,7 +419,7 @@ def _solve_low_tables(tasks) -> list[tuple[np.ndarray, dict[int, str]]]:
     with np.errstate(divide="ignore"):
         direction = np.where(critical[:, None], np.where(on, 0.0, 1.0 / n_off[:, None]),
                              1.0 / n_actions)
-    reachable = _kl_live_rows(direction, base)
+    reachable = _kl_rows(direction, base)
     shifted = steps & (target > 0.0)  # the rows where low parts from high
     out_of_reach = shifted & (reachable < target)
     rows = shifted & ~out_of_reach
@@ -589,7 +569,12 @@ class FixedHigh:
 
 @dataclass(frozen=True)
 class KlstCollect:
+    embed_dim: int | None = 64  # None records no step embeddings
     tag: ClassVar[str] = "klst_collect"
+
+    def __post_init__(self):
+        if self.embed_dim is not None and self.embed_dim < 1:
+            raise ValueError("embed_dim must be None or >= 1")
 
 
 @dataclass(frozen=True)
@@ -611,13 +596,15 @@ class RouterDriver:
     def __post_init__(self):
         if self.mode not in ROUTING_MODES:
             raise ValueError(f"unknown routing mode {self.mode!r}")
+        if self.params.config.num_precisions != 2:
+            raise ValueError("synthetic rollouts need a binary (K=2) router")
 
 
 Driver = FixedLow | FixedHigh | KlstCollect | RandomDriver | RouterDriver
 
 
 def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callable,
-             master_seed: int, sample_index: int, embed_dim: int | None):
+             master_seed: int, sample_index: int):
     """One episode's step loop from ``state``, as a generator.
 
     At each router decision it yields the step's StepSequence and takes the
@@ -625,8 +612,8 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callab
     ``uniforms(*key)`` gives the draws of the RNG stream with that key; only
     the streams the driver draws from are asked for: a greedy router draws
     none. Klst collection keeps a copy of each step's low and high rows and
-    computes every D_t in one pass once the episode ends; with ``embed_dim``
-    None it records no step embeddings.
+    computes every D_t in one pass once the episode ends. A router embeds
+    each step at its params' width, klst collection at its ``embed_dim``.
     """
     key = (state.episode_seed, sample_index)
     policy_rng = uniforms(master_seed, STREAM_POLICY, *key)
@@ -636,9 +623,9 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callab
     router_rng = (uniforms(master_seed, STREAM_ROUTER, *key)
                   if routed and driver.mode == "sampled" else None)
     collect = isinstance(driver, KlstCollect)
-    record_embeddings = (collect and embed_dim is not None) or routed
-    if record_embeddings:
-        task_counts = _token_counts(state.task_tokens, embed_dim)
+    dim = driver.params.config.embed_dim if routed else driver.embed_dim if collect else None
+    if dim is not None:
+        task_counts = _token_counts(state.task_tokens, dim)
     rows: list[tuple] = []  # each step's TrajStep fields but d_t
     embeddings: list[np.ndarray] = []
     lows: list[np.ndarray] = []
@@ -648,8 +635,8 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callab
 
     while not state.terminal:
         z = None
-        if record_embeddings:
-            z = _embed(task_counts, prev_action, state.observation, embed_dim)
+        if dim is not None:
+            z = _embed(task_counts, prev_action, state.observation, dim)
             embeddings.append(z)
 
         choice: int | None = None
@@ -682,10 +669,7 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callab
 
     d_ts: list[float | None] = [None] * len(rows)
     if collect:
-        low, high = np.array(lows), np.array(highs)
-        if low.shape != high.shape:
-            raise ValueError(f"support sizes differ: {low.shape[1]} vs {high.shape[1]}")
-        d_ts = _kl_live_rows(low, high).tolist()
+        d_ts = _kl_rows(np.array(lows), np.array(highs)).tolist()
     return Trajectory(
         episode_seed=state.episode_seed,
         driver=driver.tag,
@@ -698,8 +682,7 @@ def _episode(pair: PolicyPair, driver: Driver, state: EnvState, uniforms: Callab
 
 
 def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
-                     master_seed: int = 0, embed_dim: int | None = 64,
-                     passes: list | None = None) -> list[Trajectory]:
+                     master_seed: int = 0, passes: list | None = None) -> list[Trajectory]:
     """Run ``(driver, episode_seed, sample_index)`` members in lockstep.
 
     Each distinct episode seed is reset once, so its members share one task
@@ -710,7 +693,8 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
     seed with a member that can query the low policy (any driver but
     FixedHigh); a FixedHigh-only seed's low table is never built. Every live
     member has taken the same number of steps, so each round's router
-    decisions go through each router as one stack. A member's sampling
+    decisions go through each router as one stack. Each member embeds its
+    steps at the width its driver holds (``_episode``). A member's sampling
     streams are keyed by its episode seed and sample index, never by its
     place in ``members``; each key's uniforms are drawn once and shared by
     the members that have it, so each trajectory is bitwise equal to the
@@ -736,11 +720,6 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
 
     episodes = []
     for driver, episode_seed, k in members:
-        member_dim = embed_dim
-        if isinstance(driver, RouterDriver):
-            if driver.params.config.num_precisions != 2:
-                raise ValueError("synthetic rollouts need a binary (K=2) router")
-            member_dim = driver.params.config.embed_dim
         # A seed's members after the first start from their own copy of the
         # state, all holding the one task: a policy that tells decision steps
         # apart by the state object it is handed sees each member's.
@@ -748,7 +727,7 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
             start = _frozen(EnvState, **vars(starts[episode_seed]))
         else:
             start = starts[episode_seed] = reset(config, episode_seed)
-        episodes.append(_episode(pair, driver, start, uniforms, master_seed, k, member_dim))
+        episodes.append(_episode(pair, driver, start, uniforms, master_seed, k))
     # Stored where each cached_property keeps its value.
     synthetic_low = isinstance(pair.low, SyntheticPolicy)
     if synthetic_low or isinstance(pair.high, SyntheticPolicy):
@@ -786,16 +765,17 @@ def rollout_lockstep(config: EnvConfig, pair: PolicyPair, members,
 
 
 def rollout(config: EnvConfig, pair: PolicyPair, driver: Driver, episode_seed: int,
-            master_seed: int = 0, sample_index: int = 0, embed_dim: int = 64) -> Trajectory:
+            master_seed: int = 0, sample_index: int = 0) -> Trajectory:
     """Run one episode under a driver: the one-member ``rollout_lockstep``.
 
     fixed_low / fixed_high query a single policy; random(p) flips an
     independent coin per step; the router driver routes each step from the
     incrementally built StepSequence; klst_collect evaluates both policies,
     records D_t = KL(low || high) and executes the high-precision sample.
+    Each driver embeds steps at its own width (``_episode``).
     """
     return rollout_lockstep(config, pair, [(driver, episode_seed, sample_index)],
-                            master_seed=master_seed, embed_dim=embed_dim)[0]
+                            master_seed=master_seed)[0]
 
 
 # Episode seeds that run_drivers steps together. A larger chunk makes larger
@@ -807,15 +787,14 @@ EPISODE_CHUNK = 16
 
 
 def _chunk_job(args) -> list[list[Trajectory]]:
-    config, pair, drivers, seeds, master_seed, embed_dim = args
+    config, pair, drivers, seeds, master_seed = args
     flat = rollout_lockstep(config, pair, [(d, s, 0) for s in seeds for d in drivers],
-                            master_seed=master_seed, embed_dim=embed_dim)
+                            master_seed=master_seed)
     return [flat[j::len(drivers)] for j in range(len(drivers))]
 
 
 def run_drivers(config: EnvConfig, pair: PolicyPair, drivers, episode_seeds,
-                master_seed: int = 0, embed_dim: int | None = 64,
-                workers: int = 1) -> list[list[Trajectory]]:
+                master_seed: int = 0, workers: int = 1) -> list[list[Trajectory]]:
     """Every driver's episode on every seed: one column per driver, ordered
     by the given seeds.
 
@@ -832,7 +811,7 @@ def run_drivers(config: EnvConfig, pair: PolicyPair, drivers, episode_seeds,
     # Smaller chunks when there are too few seeds to give every process one.
     per_process = -(-len(seeds) // processes)
     size = max(1, min(EPISODE_CHUNK, per_process))
-    jobs = [(config, pair, drivers, seeds[i:i + size], master_seed, embed_dim)
+    jobs = [(config, pair, drivers, seeds[i:i + size], master_seed)
             for i in range(0, len(seeds), size)]
     if workers <= 1 or len(jobs) <= 1:
         chunks = [_chunk_job(j) for j in jobs]
@@ -843,11 +822,10 @@ def run_drivers(config: EnvConfig, pair: PolicyPair, drivers, episode_seeds,
 
 
 def run_episodes(config: EnvConfig, pair: PolicyPair, driver: Driver,
-                 episode_seeds, master_seed: int = 0, embed_dim: int = 64,
-                 workers: int = 1) -> list[Trajectory]:
+                 episode_seeds, master_seed: int = 0, workers: int = 1) -> list[Trajectory]:
     """Roll out many independent episodes: the one-driver ``run_drivers``."""
     return run_drivers(config, pair, [driver], episode_seeds, master_seed=master_seed,
-                       embed_dim=embed_dim, workers=workers)[0]
+                       workers=workers)[0]
 
 
 # --- remote policy adapter -----------------------------------------------------

@@ -24,7 +24,6 @@ from .router import (
     StepSequence,
     forward_probs_batch,
     prefix_sequences,
-    truncate_sequence,
 )
 
 
@@ -98,15 +97,15 @@ class AnchorSnapshot:
         self.params = params.copy()
 
 
-def _decision_sequences(traj: Trajectory, max_len: int) -> list[tuple[StepSequence, int]]:
+def _decision_sequences(traj: Trajectory) -> list[tuple[StepSequence, int]]:
+    """Each step's whole prefix sequence (the router truncates it) and choice."""
     if any(s.embedding is None or s.route_choice is None for s in traj.steps):
         raise TrajectoryDataError(
             f"episode {traj.episode_seed} has no decision-time sequences; "
             "roll out with the router driver"
         )
     seqs = prefix_sequences(np.asarray([s.embedding for s in traj.steps]))
-    return [(truncate_sequence(seq, max_len), s.route_choice)
-            for seq, s in zip(seqs, traj.steps)]
+    return [(seq, s.route_choice) for seq, s in zip(seqs, traj.steps)]
 
 
 @dataclass(frozen=True)
@@ -136,7 +135,7 @@ def grpo_loss_and_grads(groups, params: RouterParams, anchor: AnchorSnapshot,
     forward. Without them, each round's forward runs just before its
     backward, and the result is bitwise the same.
     """
-    items = [(float(adv), _decision_sequences(traj, params.config.max_len))
+    items = [(float(adv), _decision_sequences(traj))
              for group in groups for traj, adv in zip(group.trajectories, group.advantages)]
     if not items:
         raise ValueError("no trajectories to update on")

@@ -65,10 +65,8 @@ def collect(config: EnvConfig, pair: PolicyPair, n_episodes: int,
     if n_episodes < 1:
         raise ValueError("n_episodes must be >= 1")
     seeds = range(episode_seed_start, episode_seed_start + n_episodes)
-    return keep_successful(run_episodes(
-        config, pair, KlstCollect(), seeds,
-        master_seed=master_seed, embed_dim=embed_dim, workers=workers,
-    ))
+    return keep_successful(run_episodes(config, pair, KlstCollect(embed_dim), seeds,
+                                        master_seed=master_seed, workers=workers))
 
 
 def keep_successful(trajectories):
@@ -177,23 +175,66 @@ def save_dataset(dataset: SupervisionDataset, path, cdf_path) -> None:
     )
 
 
-def load_dataset(path) -> SupervisionDataset:
-    rows = []
-    with open(path, "r", encoding="utf-8") as f:
-        for line in f:
-            if line.strip():
-                rows.append(json.loads(line))
-    if not rows:
-        raise ValueError(f"{path}: empty dataset")
-    if any(r.get("schema") != DATASET_SCHEMA_VERSION for r in rows):
-        raise ValueError(f"{path}: unsupported dataset schema")
+_NUMBERS = {int, float}  # the types json.loads gives a number; a bool is neither
 
-    by_episode: dict[int, list[dict]] = {}
-    for r in rows:
-        by_episode.setdefault(r["episode"], []).append(r)
+
+def _row_problem(row, width: int | None) -> str | None:
+    """What keeps a parsed dataset line from being one ``save_dataset`` can
+    have written after lines of embeddings ``width`` wide, or None."""
+    if type(row) is not dict:
+        return "not a JSON object"
+    if row.get("schema") != DATASET_SCHEMA_VERSION:
+        return "unsupported dataset schema"
+    if type(row.get("episode")) is not int or type(row.get("t")) is not int:
+        return "episode and t must be ints"
+    if type(row.get("y")) is not int or row["y"] not in (0, 1):
+        return "y must be the int 0 or 1"
+    d, embedding = row.get("D"), row.get("embedding")
+    try:
+        if type(d) not in _NUMBERS or not math.isfinite(d):
+            return "D must be a finite number"
+        if (type(embedding) is not list or not embedding
+                or not _NUMBERS.issuperset(map(type, embedding))
+                or not all(map(math.isfinite, embedding))):
+            return "embedding must be a non-empty list of finite numbers"
+    except OverflowError:
+        return "D or embedding holds an int beyond float range"
+    if width is not None and len(embedding) != width:
+        return f"embedding of {len(embedding)} entries where the lines before have {width}"
+    return None
+
+
+def load_dataset(path) -> SupervisionDataset:
+    """The dataset ``save_dataset`` wrote to ``path``. A line it cannot have
+    written raises ValueError naming the file and the line: one that is not
+    such a row, whose embedding width differs from the first line's, or
+    that leaves an episode's steps other than t = 1..n."""
+    by_episode: dict[int, list[tuple[int, dict]]] = {}
+    width = None
+    with open(path, "r", encoding="utf-8") as f:
+        for line_no, line in enumerate(f, 1):
+            if not line.strip():
+                continue
+            try:
+                row = json.loads(line)
+            except ValueError as exc:
+                raise ValueError(f"{path}, line {line_no}: {exc}") from None
+            problem = _row_problem(row, width)
+            if problem:
+                raise ValueError(f"{path}, line {line_no}: {problem}")
+            width = len(row["embedding"])
+            by_episode.setdefault(row["episode"], []).append((line_no, row))
+    if not by_episode:
+        raise ValueError(f"{path}: empty dataset")
+
     records = []
     for episode in sorted(by_episode):
-        steps = sorted(by_episode[episode], key=lambda r: r["t"])
+        steps = sorted(by_episode[episode], key=lambda step: step[1]["t"])
+        for n, (line_no, s) in enumerate(steps, 1):
+            if s["t"] != n:
+                raise ValueError(f"{path}, line {line_no}: episode {episode} has step "
+                                 f"t={s['t']} where t={n} is due; its steps must be 1..n")
+        steps = [s for _, s in steps]
         seqs = prefix_sequences(np.asarray([s["embedding"] for s in steps], dtype=np.float64))
         records += [KLRecord(sequence=seq, d_t=float(s["D"]), episode=episode, t=s["t"],
                              critical=bool(s.get("crit", False)), label=s["y"])

@@ -19,7 +19,7 @@ from mixroute.cli import (
     main,
 )
 from mixroute.config import DEFAULTS, STAGE_KEYS, ConfigValidationError, load_run_config
-from mixroute.env import FixedHigh, make_policy_pair, run_episodes
+from mixroute.env import FixedHigh, KlstCollect, make_policy_pair, run_episodes
 from mixroute.router import load_params
 
 from helpers import write_version1_checkpoint
@@ -280,8 +280,10 @@ def test_calibrate_embeds_no_step(tmp_path, monkeypatch):
 
     shutil.rmtree(out)
     run_drivers = cli.run_drivers
-    monkeypatch.setattr(cli, "run_drivers", lambda *args, **kw: run_drivers(
-        *args, **{**kw, "embed_dim": load_run_config(cfg).router.embed_dim}))
+    width = load_run_config(cfg).router.embed_dim
+    monkeypatch.setattr(cli, "run_drivers", lambda env, pair, drivers, *args, **kw: run_drivers(
+        env, pair, [KlstCollect(width) if isinstance(d, KlstCollect) else d for d in drivers],
+        *args, **kw))
     assert main(["--config", str(cfg), "calibrate"]) == EXIT_OK
     assert embeds
     assert _files(out / "calibrate") == made
@@ -482,6 +484,78 @@ def test_modified_upstream_artifact_is_refused(tmp_path, capsys, artifact, edit,
     capsys.readouterr()
     assert main(["--config", str(cfg), stage]) == EXIT_MISSING
     assert str(path) in capsys.readouterr().err
+
+
+def _first_row_in_a_list(rows):
+    rows[0] = [rows[0]]
+
+
+def _first_steps_t_true(rows):
+    for row in rows:
+        if row["t"] == 1:
+            row["t"] = True
+
+
+def _first_row(key, value):
+    def edit(rows):
+        rows[0][key] = value
+    return edit
+
+
+def _nan_in_first_embedding(rows):
+    rows[0]["embedding"][0] = float("nan")
+
+
+def _cut_embeddings(episodes):
+    """Cut to 3 entries the embeddings of the first ``episodes`` episodes
+    (None: of every episode)."""
+    def edit(rows):
+        cut = sorted({row["episode"] for row in rows})[:episodes]
+        for row in rows:
+            if row["episode"] in cut:
+                row["embedding"] = row["embedding"][:3]
+    return edit
+
+
+def _duplicate_first_row(rows):
+    rows.append(dict(rows[0]))
+
+
+def _drop_second_step(rows):
+    rows.remove(next(row for row in rows if row["t"] == 2))
+
+
+@pytest.mark.parametrize("edit, line", [
+    pytest.param(_first_row_in_a_list, 1, id="line-is-a-list"),
+    pytest.param(_first_steps_t_true, 1, id="t-is-a-bool"),
+    pytest.param(_first_row("y", 2), 1, id="y-is-2"),
+    pytest.param(_first_row("y", "1"), 1, id="y-is-a-string"),
+    pytest.param(_first_row("D", float("nan")), 1, id="D-is-nan"),
+    pytest.param(_nan_in_first_embedding, 1, id="embedding-holds-nan"),
+    pytest.param(_cut_embeddings(1), None, id="one-episode-narrower"),
+    pytest.param(_cut_embeddings(None), None, id="every-embedding-narrower-than-the-router"),
+    pytest.param(_duplicate_first_row, None, id="duplicated-step"),
+    pytest.param(_drop_second_step, None, id="missing-step"),
+])
+def test_train_klst_refuses_rows_save_dataset_cannot_write(tmp_path, capsys, edit, line):
+    """A dataset line that save_dataset cannot have written, with the file's
+    sha256 recorded, exits 4 naming the file (and the line, where one line
+    is at fault) before any training."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "collect"]) == EXIT_OK
+    path = out / "collect" / "dataset.jsonl"
+    rows = [json.loads(text) for text in path.read_text().splitlines()]
+    edit(rows)
+    path.write_text("".join(json.dumps(row, sort_keys=True) + "\n" for row in rows))
+    _record_sha256(out / "collect" / "manifest.json", "dataset", path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "train-klst"]) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert str(path) in err
+    if line is not None:
+        assert f"line {line}:" in err
+    assert not (out / "klst" / "router.ckpt").exists()
 
 
 def test_eval_refuses_version_1_checkpoint(tmp_path, capsys):

@@ -579,11 +579,13 @@ def test_collection_d_t_is_the_per_step_kl_divergence(n_actions, reuse_buffer):
     lows = np.array([low for low, _ in returned])
     assert (lows == 0.0).any(axis=1).mean() > 0.5
     if n_actions >= 9:
-        # summing zero-filled rows would part from kl_divergence here
+        # D_t sums each whole row, a zero term for each zero entry: from 8
+        # actions on, numpy's pairwise sum of the live terms alone would
+        # associate them otherwise and part from this in the last bits
         highs = np.array([high for _, high in returned])
         with np.errstate(divide="ignore", invalid="ignore"):
             zero_filled = np.where(lows > 0.0, lows * np.log(lows / highs), 0.0).sum(axis=1)
-        assert (zero_filled != expected).any()
+        assert d_ts == zero_filled.tolist()
 
 
 def test_collection_refuses_policies_of_different_support_sizes(world, pair):
@@ -651,7 +653,7 @@ def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
     router parameter sets among them, each equal their own rollout; each
     round runs one router stack per parameter set."""
     other = RouterParams.initialize(RouterConfig(embed_dim=16, num_heads=2, ffn_dim=32), seed=4)
-    drivers = [FixedLow(), KlstCollect(), RouterDriver(LOCKSTEP_ROUTER, mode="greedy"),
+    drivers = [FixedLow(), KlstCollect(embed_dim=32), RouterDriver(LOCKSTEP_ROUTER, mode="greedy"),
                RandomDriver(0.4), RouterDriver(other, mode="sampled"), FixedHigh(),
                RouterDriver(LOCKSTEP_ROUTER, mode="sampled")]
     members = [(d, s, k) for s in (3, 0, 11) for k in (0, 2) for d in drivers]
@@ -660,12 +662,12 @@ def test_lockstep_mixed_members_match_solo_rollouts(world, pair, monkeypatch):
     monkeypatch.setattr(env_module, "forward_probs_batch",
                         lambda seqs, params: stacks.append((id(params), len(seqs)))
                         or forward(seqs, params))
-    together = rollout_lockstep(world, pair, members, master_seed=2, embed_dim=32)
+    together = rollout_lockstep(world, pair, members, master_seed=2)
     # round 1: every router member decides, 12 on one parameter set and 6 on the other
     assert stacks[:2] == [(id(LOCKSTEP_ROUTER), 12), (id(other), 6)]
     for (driver, episode_seed, k), traj in zip(members, together):
         assert_same_trajectory(traj, rollout(world, pair, driver, episode_seed, master_seed=2,
-                                             sample_index=k, embed_dim=32))
+                                             sample_index=k))
 
 
 def test_only_a_sampled_router_builds_a_router_stream(world, pair, monkeypatch):
@@ -711,6 +713,38 @@ def test_router_driver_refuses_an_unknown_mode_before_any_reset(world, pair, mon
     assert resets == []
     run_drivers(world, pair, [FixedLow()], range(2))
     assert len(resets) == 2  # the recorder sees the resets a run makes
+
+
+def test_router_driver_refuses_a_non_binary_router():
+    three = RouterParams.initialize(RouterConfig(embed_dim=8, num_heads=2, ffn_dim=16,
+                                                 num_precisions=3), seed=0)
+    with pytest.raises(ValueError, match=r"binary \(K=2\) router"):
+        RouterDriver(three)
+
+
+@pytest.mark.parametrize("width", [0, -1])
+def test_klst_collect_refuses_a_width_below_one(width):
+    with pytest.raises(ValueError, match="embed_dim"):
+        KlstCollect(width)
+
+
+def test_each_member_embeds_at_its_drivers_width(world, pair):
+    """One lockstep call: klst collection without a width records no
+    embedding, one at 16 records 16-wide steps, beside a 64-wide router."""
+    members = [(KlstCollect(None), 0, 0), (KlstCollect(16), 0, 0),
+               (RouterDriver(LOCKSTEP_ROUTER, mode="greedy"), 0, 0)]
+    unembedded, narrow, routed = rollout_lockstep(world, pair, members)
+    assert [s.embedding for s in unembedded.steps] == [None] * unembedded.n_steps
+    assert {s.embedding.shape for s in narrow.steps} == {(16,)}
+    assert {s.embedding.shape for s in routed.steps} == {(LOCKSTEP_ROUTER.config.embed_dim,)}
+    assert LOCKSTEP_ROUTER.config.embed_dim == 64
+    assert [s.d_t for s in unembedded.steps] == [s.d_t for s in narrow.steps]
+    for traj, dim in ((narrow, 16), (routed, 64)):
+        state, prev = reset(world, 0), None
+        for s in traj.steps:
+            np.testing.assert_array_equal(
+                s.embedding, embed_step(state.task_tokens, prev, state.observation, dim))
+            state, prev = step(state, s.action)[0], s.action
 
 
 def test_group_members_share_one_low_table(world, pair, monkeypatch):

@@ -219,7 +219,8 @@ def test_grpo_stacked_states_match_per_state_passes():
 def test_decision_sequences_are_the_routed_sequences(max_len):
     """GRPO re-scores each step on the sequence the rollout routed it on: a
     greedy rollout's choice is the argmax over ``_decision_sequences``, with
-    a max_len beyond the horizon of 12 and one that truncates."""
+    a max_len beyond the horizon of 12 and one that truncates. The
+    sequences are whole prefixes; the router truncates them itself."""
     from mixroute.router import forward_probs
 
     env = EnvConfig()
@@ -228,11 +229,11 @@ def test_decision_sequences_are_the_routed_sequences(max_len):
     pair = make_policy_pair(env)
     choices = set()
     for seed in range(6):
-        traj = rollout(env, pair, RouterDriver(params, mode="greedy"), seed, embed_dim=8)
-        decisions = grpo_module._decision_sequences(traj, max_len)
+        traj = rollout(env, pair, RouterDriver(params, mode="greedy"), seed)
+        decisions = grpo_module._decision_sequences(traj)
         assert len(decisions) == traj.n_steps
         for i, ((seq, choice), s) in enumerate(zip(decisions, traj.steps)):
-            assert seq.length == min(i + 1, max_len)
+            assert seq.length == i + 1
             np.testing.assert_array_equal(seq.embeddings[-1], s.embedding)
             assert choice == s.route_choice == int(np.argmax(forward_probs(seq, params)[0]))
             choices.add(choice)
