@@ -15,9 +15,11 @@ Exit codes: 0 success, 2 config error, 3 invariant/calibration failure,
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import sys
+from dataclasses import asdict, fields
 from functools import partial
 from pathlib import Path
 
@@ -45,6 +47,27 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
+def _write_csv(path: Path, header, rows) -> None:
+    """The header, then each row's cells under it, LF line ends. A cell is a
+    Python int, float or str written as its text; None is an empty cell."""
+    with open(path, "w", newline="", encoding="utf-8") as f:
+        writer = csv.writer(f, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows([row[name] for name in header] for row in rows)
+
+
+def _write_json(path: Path, payload) -> None:
+    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+
+
+def _method_rows(reports) -> list[dict]:
+    """One row per method under report.csv's column names; export's
+    frontier.csv and summary.json take their fields from these rows."""
+    return [{"method": r.method, "n": r.n_episodes, "S": r.success_rate,
+             "c": r.high_ratio, "S_weak": r.weak_success_rate, "GHC": r.ghc}
+            for r in reports]
+
+
 def _write_manifest(stage_dir: Path, stage: str, cfg: RunConfig,
                     outputs: dict[str, Path], inputs: dict[str, Path] | None = None,
                     extra: dict | None = None) -> None:
@@ -62,9 +85,7 @@ def _write_manifest(stage_dir: Path, stage: str, cfg: RunConfig,
         },
         **({"extra": extra} if extra else {}),
     }
-    (stage_dir / "manifest.json").write_text(
-        json.dumps(manifest, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
+    _write_json(stage_dir / "manifest.json", manifest)
 
 
 def _manifest_problem(manifest) -> str | None:
@@ -169,18 +190,15 @@ def cmd_calibrate(cfg: RunConfig) -> int:
     }
 
     values_path = stage / "d_values.csv"
-    with open(values_path, "w", encoding="utf-8") as f:
-        f.write("D\n")
-        for v in d_values:
-            f.write(f"{v!r}\n")
+    _write_csv(values_path, ["D"], ({"D": v} for v in d_values.tolist()))
     hist_path = stage / "d_histogram.csv"
     counts, edges = np.histogram(d_values, bins=40)
-    with open(hist_path, "w", encoding="utf-8") as f:
-        f.write("bin_left,bin_right,count\n")
-        for i, c in enumerate(counts):
-            f.write(f"{edges[i]!r},{edges[i + 1]!r},{int(c)}\n")
+    edges = edges.tolist()
+    _write_csv(hist_path, ["bin_left", "bin_right", "count"],
+               ({"bin_left": left, "bin_right": right, "count": c}
+                for left, right, c in zip(edges, edges[1:], counts.tolist())))
     report_path = stage / "calibration.json"
-    report_path.write_text(json.dumps({
+    _write_json(report_path, {
         "episodes": n,
         "fixed_high_success": high_rate,
         "fixed_low_success": low_rate,
@@ -189,7 +207,7 @@ def cmd_calibrate(cfg: RunConfig) -> int:
         "kl_fraction_below_1p5_low": frac_low,
         "kl_fraction_above_0p8_high": frac_high,
         "checks": checks,
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    })
 
     _write_manifest(stage, "calibrate", cfg, {
         "calibration": report_path,
@@ -246,11 +264,8 @@ def cmd_train_klst(cfg: RunConfig) -> int:
     ckpt_path = stage / "router.ckpt"
     save_params(result.params, ckpt_path)
     metrics_path = stage / "metrics.csv"
-    with open(metrics_path, "w", encoding="utf-8") as f:
-        f.write("epoch,train_loss,val_accuracy,val_balanced_accuracy\n")
-        for m in result.metrics:
-            f.write(f"{m.epoch},{m.train_loss!r},{m.val_accuracy!r},"
-                    f"{m.val_balanced_accuracy!r}\n")
+    _write_csv(metrics_path, [f.name for f in fields(klst.EpochMetrics)],
+               map(asdict, result.metrics))
     _write_manifest(stage, "train-klst", cfg,
                     {"checkpoint": ckpt_path, "metrics": metrics_path},
                     inputs={"dataset": dataset_path},
@@ -273,7 +288,7 @@ def cmd_train_grpo(cfg: RunConfig) -> int:
     ckpt_path = stage / "router.ckpt"
     save_params(result.params, ckpt_path)
     curve_path = stage / "curve.csv"
-    grpo.save_training_curve(result.curve, curve_path)
+    _write_csv(curve_path, [f.name for f in fields(grpo.GroupMetrics)], map(asdict, result.curve))
     _write_manifest(stage, "train-grpo", cfg,
                     {"checkpoint": ckpt_path, "curve": curve_path},
                     inputs={"init_checkpoint": checkpoint},
@@ -314,7 +329,7 @@ def cmd_eval(cfg: RunConfig) -> int:
 
     csv_path = stage / "report.csv"
     json_path = stage / "report.json"
-    evaluation.save_report_csv(reports, csv_path)
+    _write_csv(csv_path, ["method", "n", "S", "c", "S_weak", "GHC"], _method_rows(reports))
     evaluation.save_report_json(reports, json_path)
     _write_manifest(stage, "eval", cfg, {"report_csv": csv_path, "report_json": json_path},
                     inputs=inputs)
@@ -330,16 +345,12 @@ def cmd_export(cfg: RunConfig) -> int:
     report_json, reports = _upstream(cfg, cfg.output_dir / "eval", "eval", "report_json",
                                      evaluation.load_report_json)
 
+    rows = _method_rows(reports)
     frontier_path = stage / "frontier.csv"
-    evaluation.save_frontier_csv(reports, frontier_path)
+    _write_csv(frontier_path, ["method", "c", "S", "GHC"], rows)
     summary_path = stage / "summary.json"
-    summary_path.write_text(json.dumps({
-        "methods": [
-            {"method": r.method, "S": r.success_rate, "c": r.high_ratio,
-             "S_weak": r.weak_success_rate, "GHC": r.ghc}
-            for r in reports
-        ],
-    }, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+    _write_json(summary_path, {"methods": [
+        {name: value for name, value in row.items() if name != "n"} for row in rows]})
     _write_manifest(stage, "export", cfg,
                     {"frontier": frontier_path, "summary": summary_path},
                     inputs={"report_json": report_json})

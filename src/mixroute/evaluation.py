@@ -1,5 +1,5 @@
 """Metrics and baseline harness: success rate, high-precision usage, GHC,
-random@p baselines, shared-seed sweeps and report export.
+random@p baselines, shared-seed sweeps and the report's JSON file.
 
 GHC (gain per high-precision call) is (S - S_weak) / c on success-rate
 fractions: the slope of the segment from (0, S_weak) to (c, S) in the
@@ -8,8 +8,8 @@ success-versus-usage plane. It is undefined (None) when c = 0.
 
 from __future__ import annotations
 
-import csv
 import json
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -162,21 +162,7 @@ def sweep(config: EnvConfig, pair: PolicyPair, specs, n_episodes: int,
     return [weak if spec.kind == "fixed_low" else next(reports) for spec in specs]
 
 
-# --- exports ---------------------------------------------------------------
-
-def _fmt(x) -> str:
-    return "" if x is None else repr(float(x))
-
-
-def save_report_csv(reports, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "n", "S", "c", "S_weak", "GHC"])
-        for r in reports:
-            writer.writerow([r.method, r.n_episodes, repr(r.success_rate),
-                             repr(r.high_ratio), repr(r.weak_success_rate),
-                             _fmt(r.ghc)])
-
+# --- report.json -----------------------------------------------------------
 
 def save_report_json(reports, path) -> None:
     payload = [
@@ -200,10 +186,54 @@ def save_report_json(reports, path) -> None:
                           encoding="utf-8")
 
 
+def _finite(x) -> bool:
+    """Whether ``x`` is a finite number as json.loads gives one (a bool is not)."""
+    return type(x) is int or (type(x) is float and math.isfinite(x))
+
+
+def _episode_ok(e) -> bool:
+    return (type(e) is dict and type(e.get("episode_seed")) is int
+            and type(e.get("success")) is bool and type(e.get("S")) is int
+            and type(e.get("T")) is int and 0 <= e["S"] <= e["T"])
+
+
+def _report_problem(r) -> str | None:
+    """What keeps a parsed report.json entry from being one
+    ``save_report_json`` can have written, or None."""
+    if type(r) is not dict:
+        return "not a JSON object"
+    if type(r.get("method")) is not str:
+        return "method must be a str"
+    n = r.get("n_episodes")
+    if type(n) is not int or n < 1:
+        return "n_episodes must be an int >= 1"
+    for key in ("success_rate", "high_ratio", "weak_success_rate"):
+        if not _finite(r.get(key)) or not 0 <= r[key] <= 1:
+            return f"{key} must be a finite number in [0, 1]"
+    if "ghc" not in r or not (r["ghc"] is None or _finite(r["ghc"])):
+        return "ghc must be null or a finite number"
+    if type(r.get("master_seed")) is not int:
+        return "master_seed must be an int"
+    episodes = r.get("episodes")
+    if type(episodes) is not list or len(episodes) != n or not all(map(_episode_ok, episodes)):
+        return (f"episodes must hold n_episodes = {n} objects, each with an int "
+                "episode_seed, a bool success and ints 0 <= S <= T")
+    return None
+
+
 def load_report_json(path) -> list[EvalReport]:
-    """The reports ``save_report_json`` wrote to ``path``, read back."""
-    return [
-        EvalReport(
+    """The reports ``save_report_json`` wrote to ``path``, read back. An
+    entry it cannot have written raises ValueError naming the file and the
+    entry's index."""
+    rows = json.loads(Path(path).read_text(encoding="utf-8"))
+    if type(rows) is not list:
+        raise ValueError(f"{path}: not a JSON list of reports")
+    reports = []
+    for i, r in enumerate(rows):
+        problem = _report_problem(r)
+        if problem:
+            raise ValueError(f"{path}, report {i}: {problem}")
+        reports.append(EvalReport(
             method=r["method"],
             n_episodes=r["n_episodes"],
             success_rate=r["success_rate"],
@@ -213,16 +243,5 @@ def load_report_json(path) -> list[EvalReport]:
             master_seed=r["master_seed"],
             episodes=[EpisodeRow(e["episode_seed"], e["success"], e["S"], e["T"])
                       for e in r["episodes"]],
-        )
-        for r in json.loads(Path(path).read_text(encoding="utf-8"))
-    ]
-
-
-def save_frontier_csv(reports, path) -> None:
-    """(c, S) point per method plus its GHC slope, for external plotting."""
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["method", "c", "S", "GHC"])
-        for r in reports:
-            writer.writerow([r.method, repr(r.high_ratio), repr(r.success_rate),
-                             _fmt(r.ghc)])
+        ))
+    return reports

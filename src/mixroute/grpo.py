@@ -11,7 +11,6 @@ through the rollout's own router passes.
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -256,14 +255,3 @@ def train_grpo(env_config: EnvConfig, pair: PolicyPair, init_params: RouterParam
         n_groups=n_groups,
         episodes_used=n_groups * config.group_size,
     )
-
-
-def save_training_curve(curve, path) -> None:
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        writer = csv.writer(f)
-        writer.writerow(["group_index", "mean_return", "success_rate",
-                         "mean_high_ratio", "policy_loss", "kl_penalty"])
-        for m in curve:
-            writer.writerow([m.group_index, repr(m.mean_return), repr(m.success_rate),
-                             repr(m.mean_high_ratio), repr(m.policy_loss),
-                             repr(m.kl_penalty)])

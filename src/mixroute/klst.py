@@ -154,7 +154,13 @@ def build_supervision_dataset(trajectories, labeling: LabelingConfig) -> Supervi
 
 def save_dataset(dataset: SupervisionDataset, path, cdf_path) -> None:
     """One step per JSONL line (its own embedding; the sequence is rebuilt
-    from the episode prefix on load), and the sorted KL values at cdf_path."""
+    from the episode prefix on load), and the sorted KL values at cdf_path.
+    A non-finite D_t, which JSON cannot hold, raises ValueError before
+    either file is created."""
+    bad = next((r for r in dataset.records if not math.isfinite(r.d_t)), None)
+    if bad is not None:
+        raise ValueError(f"episode {bad.episode}, step {bad.t}: D_t is {bad.d_t}, "
+                         "which the dataset format cannot hold")
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8") as f:

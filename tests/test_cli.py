@@ -1,5 +1,6 @@
 """CLI stages, exit codes, manifests and provenance guards."""
 
+import csv
 import hashlib
 import json
 import shutil
@@ -363,6 +364,58 @@ def test_pipeline_stages_and_manifests(tmp_path):
     assert "router-klst[greedy]" in methods and "router-grpo[greedy]" in methods
 
 
+def _refuse_constant(name):
+    raise ValueError(f"non-standard JSON constant {name}")
+
+
+def _csv_table(path):
+    """``path``'s rows under its header, as dicts of cell text."""
+    with open(path, newline="", encoding="utf-8") as f:
+        header, *rows = csv.reader(f)
+    assert rows and all(len(row) == len(header) for row in rows), path
+    return [dict(zip(header, row)) for row in rows]
+
+
+def test_csv_tables_and_json_documents_are_standard(tmp_path):
+    """After the six stages, each CSV table has LF line ends, a header and
+    rows as wide, and a number in every cell outside ``method``, except an
+    empty GHC for undefined; each JSON document holds no NaN or Infinity.
+    The frontier's GHC is its point's slope from (0, S_weak), and fixed_low's
+    GHC is undefined in report.csv and frontier.csv alike."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    for stage in ("calibrate", "collect", "train-klst", "train-grpo", "eval", "export"):
+        assert main(["--config", str(cfg), stage]) == EXIT_OK
+    tables = {}
+    for path in sorted(out.rglob("*.csv")):
+        assert b"\r" not in path.read_bytes(), path
+        tables[path.relative_to(out).as_posix()] = rows = _csv_table(path)
+        for row in rows:
+            for name, cell in row.items():
+                if name != "method" and not (name == "GHC" and cell == ""):
+                    float(cell)
+    assert set(tables) == {"calibrate/d_values.csv", "calibrate/d_histogram.csv",
+                           "klst/metrics.csv", "grpo/curve.csv", "eval/report.csv",
+                           "export/frontier.csv"}
+    documents = sorted(out.rglob("*.json"))
+    assert len(documents) == 10
+    for path in documents:
+        json.loads(path.read_text(encoding="utf-8"), parse_constant=_refuse_constant)
+
+    report = {row["method"]: row for row in tables["eval/report.csv"]}
+    frontier = tables["export/frontier.csv"]
+    assert [row["method"] for row in frontier] == list(report)
+    assert report["fixed_low"]["GHC"] == ""
+    for row in frontier:
+        assert (row["c"], row["S"], row["GHC"]) == tuple(
+            report[row["method"]][name] for name in ("c", "S", "GHC"))
+        if row["method"] == "fixed_low":
+            assert row["GHC"] == ""
+            continue
+        slope = (float(row["S"]) - float(report[row["method"]]["S_weak"])) / float(row["c"])
+        np.testing.assert_allclose(slope, float(row["GHC"]), rtol=0, atol=1e-12)
+
+
 def test_eval_baseline_only_succeeds(tmp_path):
     out = tmp_path / "out"
     cfg = write_config(tmp_path, out)
@@ -556,6 +609,59 @@ def test_train_klst_refuses_rows_save_dataset_cannot_write(tmp_path, capsys, edi
     if line is not None:
         assert f"line {line}:" in err
     assert not (out / "klst" / "router.ckpt").exists()
+
+
+def _report_entry(index, key, value):
+    def edit(reports):
+        reports[index][key] = value
+    return edit
+
+
+def _first_episode(key, value):
+    def edit(reports):
+        reports[0]["episodes"][0][key] = value
+    return edit
+
+
+def _drop_last_episode(reports):
+    reports[0]["episodes"].pop()
+
+
+@pytest.mark.parametrize("edit, named", [
+    pytest.param(lambda reports: {"reports": reports}, "not a JSON list", id="not-a-list"),
+    pytest.param(lambda reports: reports[:1] + [reports[1:]], "report 1:",
+                 id="report-is-a-list"),
+    pytest.param(_report_entry(2, "method", 3), "report 2:", id="method-is-an-int"),
+    pytest.param(_report_entry(0, "n_episodes", True), "report 0:", id="n-is-a-bool"),
+    pytest.param(_report_entry(0, "n_episodes", 0), "report 0:", id="n-is-0"),
+    pytest.param(_report_entry(1, "success_rate", "0.5"), "report 1:",
+                 id="success-rate-is-a-string"),
+    pytest.param(_report_entry(1, "success_rate", 7.0), "report 1:", id="success-rate-is-7"),
+    pytest.param(_report_entry(2, "high_ratio", float("nan")), "report 2:",
+                 id="high-ratio-is-nan"),
+    pytest.param(_report_entry(2, "ghc", "x"), "report 2:", id="ghc-is-a-string"),
+    pytest.param(_report_entry(0, "master_seed", 0.0), "report 0:", id="seed-is-a-float"),
+    pytest.param(_drop_last_episode, "report 0:", id="one-episode-short"),
+    pytest.param(_first_episode("success", 1), "report 0:", id="success-is-an-int"),
+    pytest.param(_first_episode("S", 99), "report 0:", id="S-above-T"),
+])
+def test_export_refuses_reports_save_report_json_cannot_write(tmp_path, capsys, edit,
+                                                              named):
+    """A report.json that save_report_json cannot have written, with the
+    file's sha256 recorded, exits 4 naming the file and the report at fault
+    before export writes anything."""
+    out = tmp_path / "out"
+    cfg = write_config(tmp_path, out)
+    assert main(["--config", str(cfg), "eval"]) == EXIT_OK
+    path = out / "eval" / "report.json"
+    reports = json.loads(path.read_text())
+    path.write_text(json.dumps(edit(reports) or reports))
+    _record_sha256(out / "eval" / "manifest.json", "report_json", path)
+    capsys.readouterr()
+    assert main(["--config", str(cfg), "export"]) == EXIT_MISSING
+    err = capsys.readouterr().err
+    assert f"{path}, {named}" in err or f"{path}: {named}" in err
+    assert not (out / "export" / "frontier.csv").exists()
 
 
 def test_eval_refuses_version_1_checkpoint(tmp_path, capsys):

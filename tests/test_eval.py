@@ -1,6 +1,5 @@
-"""GHC metric fixtures, evaluation harness and report/frontier exports."""
+"""GHC metric fixtures, evaluation harness and the report's JSON file."""
 
-import csv
 import json
 from collections import Counter
 
@@ -14,8 +13,6 @@ from mixroute.evaluation import (
     evaluate,
     ghc,
     load_report_json,
-    save_frontier_csv,
-    save_report_csv,
     save_report_json,
     sweep,
 )
@@ -148,33 +145,12 @@ def test_sweep_reports_match_unpaired_evaluations(world, pair):
         assert report == alone
 
 
-def test_frontier_export_slope_matches_ghc(tmp_path, world, pair):
-    reports = sweep(world, pair,
-                    [BaselineSpec("random", p=0.4), BaselineSpec("fixed_high")],
-                    80, master_seed=5)
-    path = tmp_path / "frontier.csv"
-    save_frontier_csv(reports, path)
-    with open(path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    for row, report in zip(rows, reports):
-        c = float(row["c"])
-        s = float(row["S"])
-        slope = (s - report.weak_success_rate) / c
-        np.testing.assert_allclose(slope, float(row["GHC"]), atol=1e-12)
-
-
 def test_report_exports(tmp_path, world, pair):
     reports = sweep(world, pair,
                     [BaselineSpec("fixed_low"), BaselineSpec("fixed_high")],
                     30, master_seed=6)
-    csv_path = tmp_path / "report.csv"
     json_path = tmp_path / "report.json"
-    save_report_csv(reports, csv_path)
     save_report_json(reports, json_path)
-    with open(csv_path, newline="") as f:
-        rows = list(csv.DictReader(f))
-    assert rows[0]["method"] == "fixed_low"
-    assert rows[0]["GHC"] == ""  # undefined marker
     payload = json.loads(json_path.read_text())
     assert payload[0]["ghc"] is None
     assert len(payload[0]["episodes"]) == 30

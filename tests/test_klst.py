@@ -304,6 +304,32 @@ def test_dataset_round_trip(tmp_path):
         assert (a.sequence.embeddings == b.sequence.embeddings).all()
 
 
+class _ZeroOffStepThree:
+    """The synthetic high policy, but at step 3 one non-advancing action
+    gets zero mass, so the low policy's mass there makes D_t infinite."""
+
+    def __call__(self, state):
+        dist = state.task.high_distribution(state.t).copy()
+        if state.t == 3:
+            dist[min(set(range(dist.size)) - state.task.advancing[3])] = 0.0
+            dist /= dist.sum()
+        return dist
+
+
+def test_save_dataset_refuses_an_infinite_d_t(tmp_path):
+    """JSON cannot hold an infinite D_t, so saving one raises, naming the
+    first such step, and leaves neither file behind."""
+    cfg = EnvConfig()
+    pair = PolicyPair(high=_ZeroOffStepThree(), low=make_policy_pair(cfg).low)
+    kept, _ = collect(cfg, pair, 5, master_seed=0, embed_dim=8)
+    dataset = build_supervision_dataset(kept, LabelingConfig())
+    assert sum(math.isinf(r.d_t) for r in dataset.records) == 5
+    path, cdf_path = tmp_path / "out" / "dataset.jsonl", tmp_path / "out" / "cdf.json"
+    with pytest.raises(ValueError, match=r"episode \d+, step 3: D_t is inf"):
+        save_dataset(dataset, path, cdf_path)
+    assert not path.exists() and not cdf_path.exists()
+
+
 def test_build_supervision_dataset_positive_rate():
     cfg = EnvConfig()
     kept, _ = collect(cfg, make_policy_pair(cfg), 60, master_seed=0, embed_dim=16)
